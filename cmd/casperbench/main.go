@@ -5,20 +5,20 @@
 //
 //	casperbench -list
 //	casperbench -run fig4a [-csv] [-scale 0.5] [-seed 7] [-parallel 8]
-//	casperbench -run fig5a -shards 4
 //	casperbench -all [-sched heap]
-//	casperbench -bench fig5a -shards 4 -benchcount 5 -benchout BENCH_fig5a.json
+//	casperbench -bench fig5a -benchcount 5 -benchout BENCH_fig5a.json
+//
+// -parallel is the scaling knob: independent sweep points run on that
+// many worker goroutines, each world on its own serial engine, with
+// output byte-identical at any setting.
 //
 // -bench runs one experiment twice — serially and with -parallel
 // workers — and writes a JSON perf baseline (wall-clock, events/sec,
 // allocs/event, parallel speedup, bit-identity of the two outputs).
 // With -benchcount N the serial and parallel measurements repeat N
 // times; the baseline's headline blocks hold the median round (by
-// events/sec) and the per-round numbers are recorded alongside. With
-// -shards > 0 it additionally sweeps the sharded engine at shards
-// 1/2/4/8 and records a "sharded" block, failing if any run's output
-// differs from the serial engine's. -cpuprofile and -memprofile write
-// pprof profiles of the run.
+// events/sec) and the per-round numbers are recorded alongside.
+// -cpuprofile and -memprofile write pprof profiles of the run.
 //
 // -sched selects the event scheduler for every world: "ladder" (the
 // default) or "heap" (the differential-testing oracle the ladder
@@ -48,16 +48,13 @@ func main() {
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		quick      = flag.Bool("quick", false, "CI smoke mode: shorthand for -scale 0.12")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (1 = serial)")
-		shards     = flag.Int("shards", 0, "sharded simulation: per-node engines driven by up to N worker goroutines (0 = serial engine); output is identical at any value")
 		chaosSeed  = flag.Int64("chaosseed", 0, "faultchaos: replay this single chaos seed verbosely (0 = full sweep; implies -run faultchaos)")
 		schedName  = flag.String("sched", "ladder", "event scheduler: ladder (default) or heap (the differential-testing oracle)")
 		benchID    = flag.String("bench", "", "experiment id to benchmark serial vs -parallel")
 		benchCount = flag.Int("benchcount", 1, "with -bench: repeat the serial and parallel measurements N times and report the median round")
 		benchOut   = flag.String("benchout", "", "write the -bench JSON baseline to this file (default stdout)")
 		allocGate  = flag.String("allocgate", "", "with -bench: fail if allocs/event exceeds this committed baseline JSON by more than 0.05")
-		shardGate  = flag.String("shardgate", "", "with -bench -shards: fail if the sharded-4/serial events/sec ratio drops below 1.0 or regresses versus this committed baseline JSON (15% slack)")
 		schedGate  = flag.String("schedgate", "", "with -bench: fail if serial events/sec drops more than 15% below this committed baseline JSON (same-host comparison)")
-		maxProcs   = flag.Int("gomaxprocs", 0, "set runtime.GOMAXPROCS for the run (0 = inherit; the -bench sharded sweep otherwise runs each point at GOMAXPROCS = its shard count)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file")
 	)
@@ -70,18 +67,6 @@ func main() {
 		fatalf("casperbench: %v", err)
 	}
 	bench.SetScheduler(sched)
-	if *maxProcs > 0 {
-		runtime.GOMAXPROCS(*maxProcs)
-	}
-	if lim := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); *shards > lim {
-		// Not an error: the runs are still bit-identical (the engine
-		// clamps its workers to what the hardware can schedule and runs
-		// the rest inline), but their wall-clock must never be mistaken
-		// for an N-way parallel speedup.
-		fmt.Fprintf(os.Stderr,
-			"casperbench: warning: -shards %d exceeds the %d schedulable CPUs (GOMAXPROCS %d, NumCPU %d) — shard workers beyond that run inline, so events/sec is an overhead measurement, not a speedup\n",
-			*shards, lim, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	}
 	if *chaosSeed > 0 {
 		// -chaosseed only means something to faultchaos: a bare
 		// invocation implies the replay run, anything else is a mistake
@@ -95,7 +80,7 @@ func main() {
 			fatalf("casperbench: -chaosseed applies only to faultchaos, not -bench %s", *benchID)
 		}
 	}
-	opts := bench.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, ChaosSeed: *chaosSeed, Shards: *shards}
+	opts := bench.Options{Scale: *scale, Seed: *seed, Parallel: *parallel, ChaosSeed: *chaosSeed}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -135,9 +120,7 @@ func main() {
 		if err := runBench(e, opts, benchConfig{
 			out:       *benchOut,
 			allocGate: *allocGate,
-			shardGate: *shardGate,
 			schedGate: *schedGate,
-			pinned:    *maxProcs,
 			count:     *benchCount,
 			sched:     sched,
 		}); err != nil {
@@ -203,24 +186,10 @@ type baseline struct {
 
 	// With -benchcount > 1, Serial and Parallel hold the median round
 	// (by events/sec; lower middle for even counts) and these arrays
-	// record every round, fastest variance check included. The sharded
-	// sweep below stays single-round: its gate (checkShardGate) is a
-	// same-process ratio with its own slack, and an 8-point sweep
-	// repeated N times would dominate the bench's runtime for numbers
-	// nothing gates on.
+	// record every round, fastest variance check included.
 	BenchCount     int                 `json:"bench_count,omitempty"`
 	SerialRounds   []bench.Measurement `json:"serial_rounds,omitempty"`
 	ParallelRounds []bench.Measurement `json:"parallel_rounds,omitempty"`
-
-	// Sharded sweeps the same experiment over shard counts (-shards;
-	// Parallel pinned to 1 so sweep workers don't pollute the timing),
-	// each point at GOMAXPROCS equal to its shard count unless
-	// -gomaxprocs pins it. Present only when the -bench invocation
-	// passed -shards > 0. Each entry records the gomaxprocs it actually
-	// ran under — a point with gomaxprocs < shards (or num_cpu <
-	// shards) is time-sliced and its events/sec is an overhead
-	// measurement, not a speedup.
-	Sharded []shardPoint `json:"sharded,omitempty"`
 
 	// SpeedupExpected is false when the run cannot exhibit a parallel
 	// speedup — a single worker requested, or a single schedulable CPU —
@@ -228,17 +197,6 @@ type baseline struct {
 	// misleading sub-1.0 ratio of two serial runs.
 	SpeedupExpected bool    `json:"speedup_expected"`
 	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
-	OutputIdentical bool    `json:"output_identical"`
-}
-
-// shardPoint is one entry of the baseline's sharded sweep.
-type shardPoint struct {
-	Shards          int     `json:"shards"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	Events          int64   `json:"events"`
-	EventsPerSec    float64 `json:"events_per_sec"`
-	Rounds          int64   `json:"rounds"` // window barriers: the synchronization cost
 	OutputIdentical bool    `json:"output_identical"`
 }
 
@@ -270,60 +228,12 @@ func checkAllocGate(path string, m bench.Measurement) error {
 	return nil
 }
 
-// shardGateSlack is the fractional wall-clock tolerance of the sharded
-// speedup gate. Unlike the allocgate, both sides of the ratio are
-// wall-clock measurements on a shared CI runner, so the slack must
-// absorb scheduler noise on two runs, not allocator jitter on one;
-// 15% is comfortably above observed run-to-run variance (~5%) while
-// still catching any real regression of the barrier or drain paths,
-// which cost multiples of that when they misbehave.
-const shardGateSlack = 0.15
-
-// checkShardGate is the multi-core speedup gate: the sharded-4 /
-// serial events-per-second ratio of the current run must (a) not drop
-// below 1.0 — sharded execution must beat the serial engine — and (b)
-// not regress versus the same ratio in the committed baseline JSON,
-// both within shardGateSlack. Gating on the ratio rather than absolute
-// events/sec keeps the gate portable across machines: both numbers
-// come from the same process on the same host seconds apart.
-func checkShardGate(path string, b *baseline) error {
-	ratio, point, err := shardRatio(b)
-	if err != nil {
-		return fmt.Errorf("shardgate: current run: %w", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("shardgate: %w", err)
-	}
-	var base baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("shardgate: parsing %s: %w", path, err)
-	}
-	baseRatio, _, err := shardRatio(&base)
-	if err != nil {
-		return fmt.Errorf("shardgate: %s: %w", path, err)
-	}
-	if floor := 1.0 * (1 - shardGateSlack); ratio < floor {
-		return fmt.Errorf(
-			"shardgate: sharded-4 (gomaxprocs %d) runs at %.2fx the serial engine, below the %.2f floor (serial %.0f ev/s, sharded %.0f ev/s)",
-			point.GOMAXPROCS, ratio, floor, b.Serial.EventsPerSec, point.EventsPerSec)
-	}
-	if floor := baseRatio * (1 - shardGateSlack); ratio < floor {
-		return fmt.Errorf(
-			"shardgate: sharded-4/serial ratio %.2f regressed below committed %.2f - %d%% slack (%s)",
-			ratio, baseRatio, int(shardGateSlack*100), path)
-	}
-	fmt.Fprintf(os.Stderr, "shardgate: ok — sharded-4/serial ratio %.2f (committed %.2f, slack %d%%)\n",
-		ratio, baseRatio, int(shardGateSlack*100))
-	return nil
-}
-
 // schedGateSlack is the fractional events/sec tolerance of the
 // scheduler throughput gate. Both sides are absolute wall-clock
 // measurements taken in different processes (the committed baseline
 // was regenerated on an earlier run of the same host class), so this
-// is the noisiest of the three gates and carries the same 15% slack
-// as the shardgate; use -benchcount so the gated number is a median,
+// is the noisier of the two gates and carries a 15% slack; use
+// -benchcount so the gated number is a median,
 // not a single roll of the scheduler dice. The gate's job is to catch
 // a scheduler regression that erases the ladder queue's win over the
 // heap (~8-13% end-to-end), which would show up as a >15% drop against
@@ -356,43 +266,23 @@ func checkSchedGate(path string, m bench.Measurement) error {
 	return nil
 }
 
-// shardRatio extracts a baseline's sharded-4 / serial events-per-second
-// ratio.
-func shardRatio(b *baseline) (float64, shardPoint, error) {
-	for _, p := range b.Sharded {
-		if p.Shards == 4 {
-			if b.Serial.EventsPerSec <= 0 || p.EventsPerSec <= 0 {
-				return 0, p, fmt.Errorf("sharded-4 or serial events/sec missing")
-			}
-			return p.EventsPerSec / b.Serial.EventsPerSec, p, nil
-		}
-	}
-	return 0, shardPoint{}, fmt.Errorf("no sharded-4 sweep point (run with -shards 4)")
-}
-
 // benchConfig carries runBench's knobs.
 type benchConfig struct {
 	out       string
 	allocGate string
-	shardGate string
 	schedGate string
-	pinned    int // -gomaxprocs, 0 = per-point
 	count     int // -benchcount
 	sched     sim.SchedulerKind
 }
 
 func runBench(e bench.Experiment, o bench.Options, c benchConfig) error {
-	// Both named measurements run on the serial engine: the allocgate's
-	// 0.05 slack is only meaningful against a single-goroutine run (see
-	// bench.Measurement), and "parallel" measures sweep workers, not
-	// shard workers. Shard workers get their own sweep below.
+	// The allocgate's 0.05 slack is only meaningful against a
+	// single-goroutine run (see bench.Measurement), so the gated
+	// measurement pins Parallel to 1; "parallel" measures sweep workers.
 	serial := o
 	serial.Parallel = 1
-	serial.Shards = 0
-	par := o
-	par.Shards = 0
 	serialRounds, ms := bench.MeasureN(e, serial, c.count)
-	parRounds, mp := bench.MeasureN(e, par, c.count)
+	parRounds, mp := bench.MeasureN(e, o, c.count)
 	b := baseline{
 		Experiment:      e.ID,
 		Scale:           o.Scale,
@@ -419,48 +309,8 @@ func runBench(e bench.Experiment, o bench.Options, c benchConfig) error {
 	if !b.OutputIdentical {
 		return fmt.Errorf("%s: parallel output differs from serial", e.ID)
 	}
-	if o.Shards > 0 {
-		ambient := runtime.GOMAXPROCS(0)
-		for _, s := range []int{1, 2, 4, 8} {
-			// Each sweep point runs at GOMAXPROCS = its shard count —
-			// the configuration whose events/sec is a real speedup
-			// claim — unless -gomaxprocs pinned the whole run. Capped
-			// at the physical core count: past it, a higher GOMAXPROCS
-			// only adds scheduler noise (idle Ps woken on every
-			// channel op) without any parallelism, skewing the point
-			// against configurations the hardware can actually run.
-			// The entry records the gomaxprocs it really used.
-			if c.pinned <= 0 {
-				runtime.GOMAXPROCS(min(s, runtime.NumCPU()))
-			}
-			so := serial
-			so.Shards = s
-			m := bench.Measure(e, so)
-			if c.pinned <= 0 {
-				runtime.GOMAXPROCS(ambient)
-			}
-			p := shardPoint{
-				Shards:          s,
-				GOMAXPROCS:      m.GOMAXPROCS,
-				WallSeconds:     m.WallSeconds,
-				Events:          m.Events,
-				EventsPerSec:    m.EventsPerSec,
-				Rounds:          m.ShardRounds,
-				OutputIdentical: m.CSV == ms.CSV,
-			}
-			b.Sharded = append(b.Sharded, p)
-			if !p.OutputIdentical {
-				return fmt.Errorf("%s: -shards %d output differs from serial", e.ID, s)
-			}
-		}
-	}
 	if c.allocGate != "" {
 		if err := checkAllocGate(c.allocGate, ms); err != nil {
-			return err
-		}
-	}
-	if c.shardGate != "" {
-		if err := checkShardGate(c.shardGate, &b); err != nil {
 			return err
 		}
 	}

@@ -35,13 +35,6 @@ type Options struct {
 	// the one-command replay for a failing seed. Zero runs the full
 	// sweep. Ignored by every other experiment.
 	ChaosSeed int64
-	// Shards > 0 requests sharded simulation execution (one engine per
-	// node, up to Shards worker goroutines; see mpi.Config.Shards) for
-	// the experiments that thread it through — currently the fig5
-	// scaling family and faultchaos (where fault plans fall back to the
-	// serial engine, making the option an honest no-op). Output is
-	// identical at any setting, including 0 (serial).
-	Shards int
 }
 
 func (o Options) withDefaults() Options {

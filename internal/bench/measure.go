@@ -11,20 +11,18 @@ import (
 // Measurement is one timed experiment run: the wall-clock cost of
 // simulating, with the simulator's own throughput counters. Events come
 // from mpi.TotalEventsExecuted deltas (every World.Run adds its
-// engines' executed-event counts — all shard engines on a sharded
-// world), allocations from runtime.MemStats Mallocs deltas — both
-// process-wide, so measure one run at a time.
+// engine's executed-event count), allocations from runtime.MemStats
+// Mallocs deltas — both process-wide, so measure one run at a time.
 //
-// Contract for multi-goroutine runs (Options.Parallel > 1 or
-// Options.Shards > 0): Events and EventsPerSec stay exact — the
-// counter is an atomic the engines add to regardless of which
-// goroutine executes an event. Mallocs does not: the process-wide
-// delta picks up worker-goroutine stacks, scheduler bookkeeping, and
-// mailbox growth on top of the event loop's own allocations, so
+// Contract for multi-goroutine runs (Options.Parallel > 1): Events and
+// EventsPerSec stay exact — the counter is an atomic every world adds
+// to regardless of which worker runs it. Mallocs does not: the
+// process-wide delta picks up worker-goroutine stacks and scheduler
+// bookkeeping on top of the event loop's own allocations, so
 // AllocsPerEvent is only comparable against a committed baseline when
-// measured with Parallel <= 1 and Shards == 0. The casperbench
-// allocgate therefore always gates on the serial measurement (see
-// cmd/casperbench runBench), never on a parallel or sharded one.
+// measured with Parallel <= 1. The casperbench allocgate therefore
+// always gates on the serial measurement (see cmd/casperbench
+// runBench), never on a parallel one.
 type Measurement struct {
 	Experiment     string  `json:"experiment"`
 	Parallel       int     `json:"parallel"`
@@ -32,12 +30,11 @@ type Measurement struct {
 	WallSeconds    float64 `json:"wall_seconds"`
 	Events         int64   `json:"events"`
 	EventsPerSec   float64 `json:"events_per_sec"`
-	InlinedEvents  int64   `json:"inlined_events"`         // Advance calls completed inline (run-to-completion)
-	ShardRounds    int64   `json:"shard_rounds,omitempty"` // window barriers (sharded runs only)
+	InlinedEvents  int64   `json:"inlined_events"` // Advance calls completed inline (run-to-completion)
 	Mallocs        uint64  `json:"mallocs"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	// PeakQueueResidency is the deepest any engine's scheduler queue
-	// got during the run (max across worlds, engines, and shards) —
+	// got during the run (max across worlds) —
 	// the working-set size the ladder queue's bucket quantization is
 	// tuned around. See sim.Engine.PeakQueueResidency.
 	PeakQueueResidency int    `json:"peak_queue_residency"`
@@ -51,7 +48,6 @@ func Measure(e Experiment, o Options) Measurement {
 	runtime.ReadMemStats(&before)
 	ev0 := mpi.TotalEventsExecuted()
 	in0 := mpi.TotalInlinedAdvances()
-	ro0 := mpi.TotalShardRounds()
 	mpi.TakePeakQueueResidency() // discard history; read the interval's peak below
 	t0 := time.Now()
 	res := e.Run(o)
@@ -65,7 +61,6 @@ func Measure(e Experiment, o Options) Measurement {
 		WallSeconds:        wall,
 		Events:             events,
 		InlinedEvents:      mpi.TotalInlinedAdvances() - in0,
-		ShardRounds:        mpi.TotalShardRounds() - ro0,
 		Mallocs:            after.Mallocs - before.Mallocs,
 		PeakQueueResidency: mpi.TakePeakQueueResidency(),
 		CSV:                res.CSV(),

@@ -393,11 +393,9 @@ func (cw *casperWin) selfLocal(kind mpi.OpKind, t, disp int, dt mpi.Datatype, sr
 	}
 }
 
-// rng returns the random stream for randomized routing decisions. It is
-// the calling rank's engine stream: deterministic for a fixed world
-// configuration (and, sharded, for any worker count), though a sharded
-// world's draws differ from the serial engine's single stream — LBRandom
-// and the UnsafeNoBinding ablation are the only consumers.
+// rng returns the random stream for randomized routing decisions: the
+// world engine's stream, deterministic for a fixed world configuration.
+// LBRandom and the UnsafeNoBinding ablation are the only consumers.
 func (cw *casperWin) rng() rngIntn { return cw.p.r.Engine().Rand() }
 
 // rngIntn is the subset of rand.Rand the router needs (seam for tests).

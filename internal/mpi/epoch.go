@@ -18,13 +18,6 @@ import (
 // flushall+barrier translation (Section III-C1).
 func (w *Win) Fence(assert Assert) {
 	r := w.r
-	if r.w.sharded != nil {
-		// The piggybacked in-flight count is a single counter mutated on
-		// every op issue and apply — world-global state the shards cannot
-		// share. Casper's fence translation (flushall+barrier+sync) does
-		// not use it; base-MPI fence workloads need Config.NoShardedSim.
-		panic("mpi: MPI_Win_fence is not supported under sharded execution (set Config.NoShardedSim)")
-	}
 	r.mpiEnter()
 	defer r.mpiLeave()
 	if !assert.Has(ModeNoPrecede) {
@@ -56,21 +49,17 @@ func (w *Win) Post(group []int, assert Assert) {
 		delete(p.expected[w.me], o)
 	}
 	if !assert.Has(ModeNoCheck) {
-		// Notify each origin that this target is posted. The notification
-		// runs at the origin's engine: postSeen[origin] and the origin's
-		// signal belong to it.
+		// Notify each origin that this target is posted.
 		for _, origin := range w.exposure.group {
 			origin := origin
-			or := w.g.rankOf(origin)
 			wire := r.transferTo(w.g.comm.ranks[origin], 16)
 			me := w.me
-			sig := w.g.sigFor(origin)
-			r.w.schedule(r.eng, or.eng, r.eng.Now().Add(wire), func() {
+			r.eng.After(wire, func() {
 				if p.postSeen[origin] == nil {
 					p.postSeen[origin] = map[int]bool{}
 				}
 				p.postSeen[origin][me] = true
-				sig.Broadcast()
+				p.sig.Broadcast()
 			})
 		}
 	}
@@ -90,7 +79,6 @@ func (w *Win) Start(group []int, assert Assert) {
 		issued: map[int]int64{}}
 	if !assert.Has(ModeNoCheck) {
 		p := w.g.pscwState()
-		sig := w.g.sigFor(w.me)
 		for {
 			ready := true
 			for _, t := range w.access.group {
@@ -102,7 +90,7 @@ func (w *Win) Start(group []int, assert Assert) {
 			if ready {
 				break
 			}
-			sig.Wait(r.proc, "MPI_Win_start awaiting posts")
+			p.sig.Wait(r.proc, "MPI_Win_start awaiting posts")
 		}
 		for _, t := range w.access.group {
 			delete(p.postSeen[w.me], t)
@@ -125,15 +113,13 @@ func (w *Win) Complete() {
 		t := t
 		count := w.access.issued[t]
 		origin := w.me
-		tr := w.g.rankOf(t)
 		wire := r.transferTo(w.g.comm.ranks[t], 16)
-		sig := w.g.sigFor(t)
-		r.w.schedule(r.eng, tr.eng, r.eng.Now().Add(wire), func() {
+		r.eng.After(wire, func() {
 			if p.expected[t] == nil {
 				p.expected[t] = map[int]int64{}
 			}
 			p.expected[t][origin] = count + 1 // +1 marks "complete received"
-			sig.Broadcast()
+			p.sig.Broadcast()
 		})
 	}
 	w.access = nil
@@ -150,7 +136,6 @@ func (w *Win) Wait() {
 		panic("mpi: Wait without exposure epoch")
 	}
 	p := w.g.pscwState()
-	sig := w.g.sigFor(w.me)
 	for {
 		done := true
 		for _, origin := range w.exposure.group {
@@ -171,7 +156,7 @@ func (w *Win) Wait() {
 		if done {
 			break
 		}
-		sig.Wait(r.proc, "MPI_Win_wait")
+		p.sig.Wait(r.proc, "MPI_Win_wait")
 	}
 	for _, origin := range w.exposure.group {
 		delete(p.expected[w.me], origin)
@@ -226,13 +211,12 @@ func (w *Win) closeTarget(target int, ts *targetState) {
 	if ts.requested {
 		ts.granted.Await(r.proc, "MPI_Win_unlock awaiting lock grant")
 		ts.pending.Wait(r.proc, "MPI_Win_unlock awaiting remote completion")
-		// Release travels to the target's lock manager (on its engine).
+		// Release travels to the target's lock manager.
 		mgr := w.g.lockMgr(target)
 		origin := w.me
 		excl := ts.lock == LockExclusive
 		wire := r.transferTo(w.g.comm.ranks[target], 16)
-		tr := w.g.rankOf(target)
-		r.w.schedule(r.eng, tr.eng, r.eng.Now().Add(wire), func() { mgr.release(origin, excl) })
+		r.eng.After(wire, func() { mgr.release(origin, excl) })
 	}
 	ts.locked = false
 	ts.requested = false
@@ -365,13 +349,13 @@ func (w *Win) requestLock(target int, ts *targetState) {
 	}
 	tr := w.g.rankOf(target)
 	grant := func() {
-		// Runs at the target's engine (where the manager arbitrates); the
-		// grant delivery travels back to the origin's engine.
+		// Runs when the manager grants the lock; the grant message then
+		// travels back to the origin.
 		var back sim.Duration
 		if target != w.me {
 			back = tr.transferTo(w.g.comm.ranks[origin], 16)
 		}
-		r.w.schedule(tr.eng, r.eng, tr.eng.Now().Add(back), func() {
+		r.eng.After(back, func() {
 			ts.granted.Complete()
 			queued := ts.queued
 			ts.queued = nil
@@ -382,6 +366,5 @@ func (w *Win) requestLock(target int, ts *targetState) {
 			}
 		})
 	}
-	r.w.schedule(r.eng, tr.eng, r.eng.Now().Add(wire),
-		func() { mgr.request(&lockReq{origin: origin, excl: excl, grant: grant}) })
+	r.eng.After(wire, func() { mgr.request(&lockReq{origin: origin, excl: excl, grant: grant}) })
 }

@@ -48,6 +48,10 @@ const (
 	// stayed exhausted past the configured timeout — the target's AM
 	// queue is full and not draining (MPI_ERR_BACKLOG).
 	ErrBacklog
+	// ErrRMASync: an RMA operation was issued outside an epoch that
+	// covers its target — no epoch at all, or a target outside the
+	// PSCW access group (MPI_ERR_RMA_SYNC).
+	ErrRMASync
 )
 
 // String implements fmt.Stringer.
@@ -63,6 +67,8 @@ func (c ErrClass) String() string {
 		return "MPI_ERR_MESSAGE_LOST"
 	case ErrBacklog:
 		return "MPI_ERR_BACKLOG"
+	case ErrRMASync:
+		return "MPI_ERR_RMA_SYNC"
 	default:
 		return "MPI_ERR_OTHER"
 	}

@@ -44,24 +44,41 @@ func fastpathWorkload(r *Rank) {
 	win.Free()
 }
 
+// runFastPathAB runs main on a world built from cfg, with the engine's
+// run-to-completion fast paths disabled when off. A slow-side world must
+// never inline an advance, or the A/B comparison is not what it claims.
+func runFastPathAB(t *testing.T, cfg Config, off bool, main func(r *Rank)) *World {
+	t.Helper()
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatalf("NewWorld: %v", err)
+	}
+	if off {
+		w.Engine().DisableFastPaths()
+	}
+	w.Launch(main)
+	if err := w.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := w.Engine().InlinedAdvances(); off && n != 0 {
+		t.Fatalf("world with fast paths disabled inlined %d advances", n)
+	}
+	return w
+}
+
 // TestFastPathOnOffIdentical is the A/B contract for the
-// run-to-completion optimizations: the same workload under
-// NoSimFastPath (every event through the heap, every advance through a
-// park/resume pair) and under the default fast paths must produce an
-// identical summary — same end time, same counters, bit for bit. The
-// fast paths elide scheduler mechanics, never scheduling decisions.
+// run-to-completion optimizations: the same workload with the fast
+// paths disabled (every event through the scheduler queue, every
+// advance through a park/resume pair) and with the default fast paths
+// must produce an identical summary — same end time, same counters, bit
+// for bit. The fast paths elide scheduler mechanics, never scheduling
+// decisions.
 func TestFastPathOnOffIdentical(t *testing.T) {
-	fast := mustRun(t, testConfig(8, 4), fastpathWorkload)
+	fast := runFastPathAB(t, testConfig(8, 4), false, fastpathWorkload)
 	if fast.Engine().InlinedAdvances() == 0 {
 		t.Fatal("fast-path world never inlined an advance; the A/B comparison is vacuous")
 	}
-
-	slowCfg := testConfig(8, 4)
-	slowCfg.NoSimFastPath = true
-	slow := mustRun(t, slowCfg, fastpathWorkload)
-	if slow.Engine().InlinedAdvances() != 0 {
-		t.Fatalf("NoSimFastPath world inlined %d advances", slow.Engine().InlinedAdvances())
-	}
+	slow := runFastPathAB(t, testConfig(8, 4), true, fastpathWorkload)
 
 	a, b := fast.Summary(), slow.Summary()
 	// PeakQueueResidency measures scheduler occupancy — exactly what the
@@ -83,9 +100,8 @@ func TestFastPathOnOffIdentical(t *testing.T) {
 func TestFastPathOnOffIdenticalUnderFlowControl(t *testing.T) {
 	run := func(off bool) WorldSummary {
 		cfg := testConfig(4, 4)
-		cfg.NoSimFastPath = off
 		cfg.Flow = &FlowConfig{Credits: 2}
-		return mustRun(t, cfg, func(r *Rank) {
+		return runFastPathAB(t, cfg, off, func(r *Rank) {
 			c := r.CommWorld()
 			win, _ := r.WinAllocate(c, 64, nil)
 			c.Barrier()

@@ -311,3 +311,105 @@ func TestBadDatatypePanicsAtIssue(t *testing.T) {
 		}
 	})
 }
+
+// TestRMAWithoutEpochErrorsReturn drives the MPI_ERR_RMA_SYNC early
+// return for an op issued with no epoch, under flow control with a
+// one-credit window: the rejected op must hold no credit, count as no
+// issued op, and hand its header back, so a legal op right after it
+// issues and completes without a backlog timeout.
+func TestRMAWithoutEpochErrorsReturn(t *testing.T) {
+	cfg := testConfig(2, 2)
+	cfg.Errors = ErrorsReturn
+	cfg.Flow = &FlowConfig{Credits: 1, Timeout: 20 * sim.Microsecond}
+	var got *MPIError
+	var freeBefore, freeAfter int
+	var sum float64
+	w := mustRun(t, cfg, func(r *Rank) {
+		c := r.CommWorld()
+		win, buf := r.WinAllocate(c, 64, nil)
+		c.Barrier()
+		if r.Rank() == 0 {
+			freeBefore = len(r.opFree)
+			win.Accumulate(PutFloat64s([]float64{5}), 1, 0, Scalar(Float64), OpSum)
+			freeAfter = len(r.opFree)
+			got = r.Err()
+			r.ClearErr()
+			win.Lock(1, LockShared, AssertNone)
+			win.Accumulate(PutFloat64s([]float64{1}), 1, 0, Scalar(Float64), OpSum)
+			win.Unlock(1)
+			if err := r.Err(); err != nil {
+				t.Errorf("legal op after the sync error failed: %v", err)
+			}
+		}
+		c.Barrier()
+		if r.Rank() == 1 {
+			sum = GetFloat64s(buf[:8])[0]
+		}
+		win.Free()
+	})
+	if got == nil || got.Class != ErrRMASync {
+		t.Fatalf("error = %v, want MPI_ERR_RMA_SYNC", got)
+	}
+	if !strings.Contains(got.Msg, "without an epoch") {
+		t.Errorf("unhelpful message: %q", got.Msg)
+	}
+	// Rank 0 had issued nothing before, so the rejected op allocated a
+	// fresh header; it must be back on the freelist.
+	if freeBefore != 0 || freeAfter != 1 {
+		t.Errorf("op freelist %d -> %d across the rejected op, want 0 -> 1", freeBefore, freeAfter)
+	}
+	if ch := w.flow.chans[[2]int{0, 1}]; ch == nil || ch.available != 1 {
+		t.Errorf("credit window 0->1 not restored: %+v", ch)
+	}
+	if n := w.RankByID(0).Stats().OpsIssued; n != 1 {
+		t.Errorf("OpsIssued = %d, want 1 (the rejected op must not count)", n)
+	}
+	if n := w.wins[0].inflight.Pending(); n != 0 {
+		t.Errorf("%d ops still in flight", n)
+	}
+	if sum != 1 {
+		t.Errorf("target value %v, want 1 (only the legal op applies)", sum)
+	}
+	auditPool(t, w, "sync error")
+}
+
+// TestPSCWOpOutsideGroupErrorsReturn is the ErrorsReturn twin of
+// TestPSCWOpOutsideGroupPanics: the op to a target outside the access
+// group is rejected with MPI_ERR_RMA_SYNC before it is counted toward
+// any target, and the epoch completes normally.
+func TestPSCWOpOutsideGroupErrorsReturn(t *testing.T) {
+	cfg := testConfig(3, 3)
+	cfg.Errors = ErrorsReturn
+	var got *MPIError
+	var vals [3]float64
+	w := mustRun(t, cfg, func(r *Rank) {
+		c := r.CommWorld()
+		win, buf := r.WinAllocate(c, 8, nil)
+		switch r.Rank() {
+		case 0:
+			win.Start([]int{1}, AssertNone)
+			win.Put(PutFloat64s([]float64{2}), 2, 0, Scalar(Float64))
+			got = r.Err()
+			win.Put(PutFloat64s([]float64{1}), 1, 0, Scalar(Float64))
+			win.Complete()
+		case 1:
+			win.Post([]int{0}, AssertNone)
+			win.Wait()
+		}
+		c.Barrier()
+		vals[r.Rank()] = GetFloat64s(buf)[0]
+	})
+	if got == nil || got.Class != ErrRMASync {
+		t.Fatalf("error = %v, want MPI_ERR_RMA_SYNC", got)
+	}
+	if !strings.Contains(got.Msg, "outside access group") {
+		t.Errorf("unhelpful message: %q", got.Msg)
+	}
+	if vals != [3]float64{0, 1, 0} {
+		t.Errorf("window values %v, want [0 1 0]", vals)
+	}
+	if n := w.RankByID(0).Stats().OpsIssued; n != 1 {
+		t.Errorf("OpsIssued = %d, want 1 (the rejected op must not count)", n)
+	}
+	auditPool(t, w, "PSCW sync error")
+}

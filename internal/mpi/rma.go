@@ -263,6 +263,13 @@ func (w *Win) issue(op *rmaOp) {
 			}
 		}
 	}
+	if msg := w.syncError(op); msg != "" {
+		// Like the range error: nothing is pooled, counted or credited
+		// yet, so dropping the op header is the whole cleanup.
+		r.raise(ErrRMASync, "%s", msg)
+		r.putOp(op)
+		return
+	}
 
 	if f := w.g.w.flow; f != nil {
 		// Acquire a flow-control credit toward the target, blocking in
@@ -292,7 +299,7 @@ func (w *Win) issue(op *rmaOp) {
 		// Pool the packed payload copy: it lives exactly until the op's
 		// terminal state (opTerminal), where it is recycled.
 		n := op.dt.Size()
-		buf := r.pool.get(n)
+		buf := r.w.pool.get(n)
 		copy(buf, op.data[:n])
 		op.data = buf
 	}
@@ -300,7 +307,7 @@ func (w *Win) issue(op *rmaOp) {
 		// The compare value is snapshotted through the pool too, so the
 		// whole op (header and payloads) recycles without garbage.
 		n := len(op.cmp)
-		buf := r.pool.get(n)
+		buf := r.w.pool.get(n)
 		copy(buf, op.cmp)
 		op.cmp = buf
 	}
@@ -309,25 +316,18 @@ func (w *Win) issue(op *rmaOp) {
 	var queueOn *targetState
 	switch {
 	case w.access != nil: // PSCW access epoch
-		if !inGroup(w.access.group, op.target) {
-			panic(fmt.Sprintf("mpi: PSCW op to target %d outside access group", op.target))
-		}
 		op.pscw = true
 		w.access.issued[op.target]++
 		op.pending = &w.target(op.target).pending
 	case w.fenceActive:
 		op.pending = &w.target(op.target).pending
-	default: // passive target
+	default: // passive target: a per-target lock, or else lock-all (see syncError)
 		ts := w.lookupTarget(op.target)
 		if ts == nil || !ts.locked {
-			if w.lockAll {
-				ts = w.target(op.target)
-				ts.locked = true
-				ts.viaAll = true
-				ts.lock = LockShared
-			} else {
-				panic(fmt.Sprintf("mpi: %v to target %d without an epoch", op.kind, op.target))
-			}
+			ts = w.target(op.target)
+			ts.locked = true
+			ts.viaAll = true
+			ts.lock = LockShared
 		}
 		op.excl = ts.lock == LockExclusive
 		op.pending = &ts.pending
@@ -341,11 +341,8 @@ func (w *Win) issue(op *rmaOp) {
 
 	// Count the op as outstanding at issue time, so that flushes and
 	// fences also wait for operations still queued behind a pending
-	// lazy lock acquisition. The window-global count is fence machinery,
-	// unusable (and unused — Fence panics) under sharded execution.
-	if w.g.w.sharded == nil {
-		w.g.inflight.Add(1)
-	}
+	// lazy lock acquisition.
+	w.g.inflight.Add(1)
 	op.pending.Add(1)
 	if op.req != nil {
 		op.req.pending.Add(1)
@@ -355,6 +352,23 @@ func (w *Win) issue(op *rmaOp) {
 		return
 	}
 	w.send(op)
+}
+
+// syncError returns the MPI_ERR_RMA_SYNC message for an op issued
+// outside an epoch that covers its target, or "" when the op may issue.
+func (w *Win) syncError(op *rmaOp) string {
+	switch {
+	case w.access != nil:
+		if !inGroup(w.access.group, op.target) {
+			return fmt.Sprintf("mpi: PSCW op to target %d outside access group", op.target)
+		}
+	case w.fenceActive, w.lockAll:
+	default:
+		if ts := w.lookupTarget(op.target); ts == nil || !ts.locked {
+			return fmt.Sprintf("mpi: %v to target %d without an epoch", op.kind, op.target)
+		}
+	}
+	return ""
 }
 
 func inGroup(group []int, t int) bool {
@@ -393,15 +407,6 @@ func (w *Win) send(op *rmaOp) {
 	} else {
 		op.phase = opPhaseArrive
 	}
-	if tr := g.rankOf(op.target); tr.eng != eng {
-		// Cross-shard: the op travels through the mailbox system instead
-		// of the wire chain (whose chained heap events are an engine-local
-		// optimization). The injection key reserved on the origin engine
-		// keeps channel FIFO order; arrival monotonicity was enforced
-		// above.
-		r.w.sharded.group.InjectRun(eng, tr.eng, arrival, op)
-		return
-	}
 	if eng.FastPathsDisabled() {
 		eng.AtRun(arrival, op)
 		return
@@ -438,10 +443,7 @@ func (o *rmaOp) promoteWire() {
 		ts.wireTail = nil
 		return
 	}
-	// The chain only ever forms on same-engine channels (cross-shard ops
-	// go through the mailboxes), so the origin's engine is the one whose
-	// seq was reserved and whose heap we are standing in.
-	o.win.rankOf(o.origin).eng.AtRunReserved(next.arrived, next.evSeq, next)
+	o.win.w.eng.AtRunReserved(next.arrived, next.evSeq, next)
 }
 
 // --- Apply path (target side) ----------------------------------------
@@ -470,7 +472,7 @@ func (o *rmaOp) apply() bool {
 	}
 	mem := reg.seg.data
 	base := reg.off + disp
-	pool := o.win.rankOf(o.target).pool
+	pool := &o.win.w.pool
 	switch o.kind {
 	case KindPut:
 		accumulate(OpReplace, o.dt, mem, base, o.data)
@@ -503,7 +505,7 @@ func (o *rmaOp) apply() bool {
 			p.applied[o.target] = map[int]int64{}
 		}
 		p.applied[o.target][o.origin]++
-		o.win.sigFor(o.target).Broadcast()
+		p.sig.Broadcast()
 	}
 	return true
 }
@@ -540,9 +542,7 @@ func (o *rmaOp) applyAndAck() {
 		reg, disp, _ := o.targetRegion()
 		v.recordApply(o, reg, disp, o.svcOwner)
 	}
-	if o.win.w.sharded == nil {
-		o.win.inflight.Done()
-	}
+	o.win.inflight.Done()
 	o.ack()
 }
 
@@ -566,9 +566,7 @@ func (o *rmaOp) applyHardware(tr *Rank) {
 			Bytes: o.bytes(), Arrived: now, Start: now, End: now, Hardware: true,
 		})
 	}
-	if o.win.w.sharded == nil {
-		o.win.inflight.Done()
-	}
+	o.win.inflight.Done()
 	o.ack()
 }
 
@@ -584,11 +582,6 @@ func (o *rmaOp) ack() {
 		return
 	}
 	o.phase = opPhaseAck
-	or := g.w.ranks[originWorld]
-	if or.eng != tr.eng {
-		g.w.sharded.group.InjectRun(tr.eng, or.eng, tr.eng.Now().Add(wire), o)
-		return
-	}
 	tr.eng.AfterRun(wire, o)
 }
 
@@ -612,26 +605,21 @@ func (o *rmaOp) ackDelivered() {
 // it returns the flow-control credit, recycles the op's pooled
 // buffers, and notifies the op observer. Runs in engine context.
 func (g *winGlobal) opTerminal(o *rmaOp) {
-	// Buffers recycle into the origin's pool: terminal state is reached
-	// in the origin's engine context, whose pool is the only one legal to
-	// touch. A result buffer drawn from the target's pool migrates here —
-	// harmless for a size-classed freelist, and the outstanding counters
-	// still balance in aggregate (see World.PoolOutstanding).
-	or := g.rankOf(o.origin)
+	pool := &g.w.pool
 	if o.credit != nil {
 		o.credit.release()
 		o.credit = nil
 	}
 	if o.data != nil {
-		or.pool.put(o.data)
+		pool.put(o.data)
 		o.data = nil
 	}
 	if o.cmp != nil {
-		or.pool.put(o.cmp)
+		pool.put(o.cmp)
 		o.cmp = nil
 	}
 	if o.result != nil {
-		or.pool.put(o.result)
+		pool.put(o.result)
 		o.result = nil
 	}
 	if g.onOpDone != nil {
@@ -639,5 +627,5 @@ func (g *winGlobal) opTerminal(o *rmaOp) {
 	}
 	// Recycle the header last: putOp zeroes the op. Under a fault plan
 	// recycling is disabled (packets hold op pointers past this point).
-	or.putOp(o)
+	g.rankOf(o.origin).putOp(o)
 }

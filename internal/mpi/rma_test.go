@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -345,8 +347,12 @@ func TestRMAOutOfBoundsPanics(t *testing.T) {
 
 func TestRMAWithoutEpochPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("no panic for RMA without epoch")
+		p := recover()
+		if p == nil {
+			t.Fatal("no panic for RMA without epoch")
+		}
+		if !strings.Contains(fmt.Sprint(p), "PUT to target 1 without an epoch") {
+			t.Fatalf("unhelpful panic: %v", p)
 		}
 	}()
 	mustRun(t, testConfig(2, 2), func(r *Rank) {

@@ -43,8 +43,8 @@ type WorldSummary struct {
 	BacklogDropped  int64
 	PeakQueueDepth  int // max over ranks of the AM pipeline high-water mark
 
-	// PeakQueueResidency is the max over engines of the event
-	// scheduler's pending-event high-water mark (see
+	// PeakQueueResidency is the world engine's event scheduler
+	// pending-event high-water mark (see
 	// sim.Engine.PeakQueueResidency). Always measured; deliberately
 	// absent from String so historical summary lines stay bit-identical
 	// — bench JSON is where it is reported.
@@ -76,7 +76,7 @@ type WorldSummary struct {
 
 // Summary aggregates the counters of every rank.
 func (w *World) Summary() WorldSummary {
-	s := WorldSummary{Ranks: len(w.ranks), EndTime: w.now()}
+	s := WorldSummary{Ranks: len(w.ranks), EndTime: w.eng.Now()}
 	for _, r := range w.ranks {
 		st := r.stats
 		s.SoftwareAMs += st.SoftwareAMs
@@ -110,11 +110,7 @@ func (w *World) Summary() WorldSummary {
 			s.PeakQueueDepth = r.engine.peakDepth
 		}
 	}
-	for _, e := range w.allEngines() {
-		if p := e.PeakQueueResidency(); p > s.PeakQueueResidency {
-			s.PeakQueueResidency = p
-		}
-	}
+	s.PeakQueueResidency = w.eng.PeakQueueResidency()
 	if w.inj != nil {
 		fs := w.inj.Stats()
 		s.FaultDrops = fs.Drops

@@ -30,17 +30,8 @@ var worldInlined atomic.Int64
 // all completed World.Run calls in this process.
 func TotalInlinedAdvances() int64 { return worldInlined.Load() }
 
-// worldShardRounds accumulates shard-group window barriers across all
-// sharded World.Run calls, mirroring worldEvents — the synchronization
-// cost the perf baseline records per sharded sweep point.
-var worldShardRounds atomic.Int64
-
-// TotalShardRounds returns the window barriers executed by all
-// completed sharded World.Run calls in this process.
-func TotalShardRounds() int64 { return worldShardRounds.Load() }
-
 // worldPeakResidency tracks the maximum scheduler-queue occupancy seen
-// by any engine of any completed World.Run since the last Take. Unlike
+// by the engine of any completed World.Run since the last Take. Unlike
 // the cumulative counters above it is a high-water gauge, so the bench
 // harness reads it with swap-to-zero semantics rather than deltas.
 var worldPeakResidency atomic.Int64
@@ -128,30 +119,11 @@ type Config struct {
 	// fails fast instead of spinning).
 	WatchdogEvents int64
 	WatchdogTime   sim.Time
-	// NoSimFastPath disables the engine's run-to-completion fast paths
-	// (inline advances and same-time event fusion). The schedule is
-	// bit-identical either way — this exists so tests can prove it and
-	// benchmarks can measure the difference.
-	NoSimFastPath bool
 	// Sched selects the engine's event-scheduler implementation. The
 	// zero value is the ladder queue; sim.SchedHeap selects the retained
 	// 4-ary heap, the differential-testing oracle. Runs are bit-identical
 	// either way (see sim.SchedulerKind).
 	Sched sim.SchedulerKind
-	// Shards > 0 enables sharded execution: the world's processes are
-	// partitioned across one simulation engine per node (ghosts co-located
-	// with the app ranks they serve), executed by up to Shards worker
-	// goroutines under conservative safe windows bounded by the network
-	// model's minimum cross-node latency (netmodel.Params.Lookahead). The
-	// executed event order, RNG draws per rank, and all experiment output
-	// are identical to the serial engine and identical across any Shards
-	// value — only wall-clock parallelism changes. Worlds the sharded
-	// engine cannot run (fault plans, flow control, the validator, or a
-	// single node) silently fall back to the serial engine.
-	Shards int
-	// NoShardedSim forces the serial engine even when Shards > 0 — the
-	// A/B escape hatch mirroring NoSimFastPath.
-	NoShardedSim bool
 }
 
 // World is one simulated MPI job: an engine, a placement, and N ranks.
@@ -183,21 +155,13 @@ type World struct {
 	pool bufPool
 
 	// memo caches the net cost-model lookups (latency memoization).
-	// Owned by this world's single simulation goroutine (per-shard
-	// instances live in sharded; every rank reaches its own through
-	// Rank.memo).
+	// Owned by this world's single simulation goroutine.
 	memo *netmodel.Memo
 
 	// opRecycle enables rmaOp header recycling (see Rank.getOp). Disabled
 	// under a fault plan, where reliability packets retain op pointers
 	// past terminal state.
 	opRecycle bool
-
-	// sharded holds the parallel-execution state when Config.Shards
-	// selected (and the world is eligible for) the sharded engine; nil
-	// means the classic serial engine. While sharded, eng is nil so any
-	// code path not routed through per-rank engines fails loudly.
-	sharded *shardState
 
 	// Fault-injection state; all nil/zero without a Config.Fault plan.
 	inj         *fault.Injector
@@ -231,23 +195,14 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{
+		eng:       sim.New(cfg.Seed),
 		place:     place,
 		net:       cfg.Net,
 		cfg:       cfg,
 		memo:      netmodel.NewMemo(cfg.Net),
 		opRecycle: cfg.Fault == nil,
 	}
-	if shardEligible(cfg, place) {
-		w.sharded = newShardState(w)
-	} else {
-		w.eng = sim.New(cfg.Seed)
-		w.eng.SetScheduler(cfg.Sched)
-	}
-	if cfg.NoSimFastPath {
-		for _, e := range w.allEngines() {
-			e.DisableFastPaths()
-		}
-	}
+	w.eng.SetScheduler(cfg.Sched)
 	if cfg.Validate {
 		w.validator = newValidator()
 	}
@@ -268,12 +223,7 @@ func NewWorld(cfg Config) (*World, error) {
 		maxEvents = 250_000_000
 	}
 	if maxEvents != 0 || cfg.WatchdogTime != 0 {
-		if s := w.sharded; s != nil {
-			s.group.SetEventBudget(maxEvents)
-			s.group.SetMaxTime(cfg.WatchdogTime)
-		} else {
-			w.eng.SetWatchdog(maxEvents, cfg.WatchdogTime)
-		}
+		w.eng.SetWatchdog(maxEvents, cfg.WatchdogTime)
 	}
 	if cfg.Fault != nil || cfg.Flow != nil {
 		// Hang diagnostics: if the timeline wedges (deadlock) or spins
@@ -294,77 +244,8 @@ func NewWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// Engine returns the simulation engine — nil under sharded execution,
-// where there is one engine per node (see Rank.Engine).
+// Engine returns the world's simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
-
-// Sharded reports whether the world runs on the sharded engine.
-func (w *World) Sharded() bool { return w.sharded != nil }
-
-// ShardCount returns the number of shards (simulation engines) of a
-// sharded world, and 0 for a serial one.
-func (w *World) ShardCount() int {
-	if w.sharded == nil {
-		return 0
-	}
-	return len(w.sharded.engines)
-}
-
-// ShardRounds returns how many window barriers the shard group has
-// executed (0 for a serial world) — the synchronization cost of the
-// run, see sim.ShardGroup.Rounds.
-func (w *World) ShardRounds() int64 {
-	if w.sharded == nil {
-		return 0
-	}
-	return w.sharded.group.Rounds()
-}
-
-// allEngines returns every simulation engine of the world: the per-node
-// shard engines, or the single serial engine.
-func (w *World) allEngines() []*sim.Engine {
-	if s := w.sharded; s != nil {
-		return s.engines
-	}
-	return []*sim.Engine{w.eng}
-}
-
-// now returns the current global virtual time: the serial engine's
-// clock, or the maximum shard clock (only meaningful between windows —
-// i.e. after Run returns).
-func (w *World) now() sim.Time {
-	if s := w.sharded; s != nil {
-		var t sim.Time
-		for _, e := range s.engines {
-			if n := e.Now(); n > t {
-				t = n
-			}
-		}
-		return t
-	}
-	return w.eng.Now()
-}
-
-// schedule runs fn at virtual time at on engine dst, from the engine
-// context src. Same-engine scheduling (and every serial world) goes
-// straight to the event heap; cross-shard scheduling goes through the
-// shard group's mailboxes, which enforce the lookahead contract.
-func (w *World) schedule(src, dst *sim.Engine, at sim.Time, fn func()) {
-	if src == dst {
-		src.At(at, fn)
-		return
-	}
-	w.sharded.group.Inject(src, dst, at, fn)
-}
-
-// scheduleRun is schedule for closure-free Runner payloads.
-func (w *World) scheduleRun(src, dst *sim.Engine, at sim.Time, r sim.Runner) {
-	if src == dst {
-		src.AtRun(at, r)
-		return
-	}
-	w.sharded.group.InjectRun(src, dst, at, r)
-}
 
 // Placement returns the rank-to-hardware mapping.
 func (w *World) Placement() *cluster.Placement { return w.place }
@@ -379,29 +260,13 @@ func (w *World) Config() Config { return w.cfg }
 func (w *World) Validator() *Validator { return w.validator }
 
 // PoolOutstanding returns the number of message-path buffers handed out
-// by the world's buffer pool(s) and not yet returned. Zero once the
-// world has quiesced; anything else is a leak on an error/early-return
-// path.
-func (w *World) PoolOutstanding() int64 {
-	if s := w.sharded; s != nil {
-		var n int64
-		for i := range s.pools {
-			n += s.pools[i].Outstanding()
-		}
-		return n
-	}
-	return w.pool.Outstanding()
-}
+// by the world's buffer pool and not yet returned. Zero once the world
+// has quiesced; anything else is a leak on an error/early-return path.
+func (w *World) PoolOutstanding() int64 { return w.pool.Outstanding() }
 
 // SetTracer installs an operation tracer; pass nil to disable. Install
-// before Launch. The tracer records from every rank into one stream, so
-// it is incompatible with sharded execution.
-func (w *World) SetTracer(t *trace.Tracer) {
-	if w.sharded != nil && t.Enabled() {
-		panic("mpi: tracing is not supported under sharded execution (set Config.NoShardedSim)")
-	}
-	w.tracer = t
-}
+// before Launch.
+func (w *World) SetTracer(t *trace.Tracer) { w.tracer = t }
 
 // Tracer returns the installed tracer (possibly nil).
 func (w *World) Tracer() *trace.Tracer { return w.tracer }
@@ -415,10 +280,6 @@ func (w *World) RankByID(i int) *Rank { return w.ranks[i] }
 // singletons that live in the simulated job's single address space,
 // such as the overload rebalancer.
 func (w *World) SharedState(key string, create func() interface{}) interface{} {
-	if s := w.sharded; s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	if w.shared == nil {
 		w.shared = make(map[string]interface{})
 	}
@@ -451,7 +312,7 @@ func (w *World) reclaimLocksAt(dead int) {
 		return
 	}
 	for _, g := range w.wins {
-		if g.freed.Load() {
+		if g.freed {
 			continue
 		}
 		cr, ok := g.comm.index[dead]
@@ -541,20 +402,10 @@ func (w *World) FailedCount() int { return w.failedCount }
 
 // Run executes the simulation to completion.
 func (w *World) Run() error {
-	var err error
-	if s := w.sharded; s != nil {
-		err = s.group.Run()
-		worldEvents.Add(s.group.EventsExecuted())
-		worldInlined.Add(s.group.InlinedAdvances())
-		worldShardRounds.Add(s.group.Rounds())
-	} else {
-		err = w.eng.Run()
-		worldEvents.Add(w.eng.EventsExecuted())
-		worldInlined.Add(w.eng.InlinedAdvances())
-	}
-	for _, e := range w.allEngines() {
-		notePeakResidency(e.PeakQueueResidency())
-	}
+	err := w.eng.Run()
+	worldEvents.Add(w.eng.EventsExecuted())
+	worldInlined.Add(w.eng.InlinedAdvances())
+	notePeakResidency(w.eng.PeakQueueResidency())
 	return err
 }
 
@@ -582,10 +433,6 @@ type segment struct {
 }
 
 func (w *World) newSegment(n int) *segment {
-	if s := w.sharded; s != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
 	w.segSeq++
 	return &segment{id: w.segSeq, data: make([]byte, n)}
 }
@@ -633,13 +480,9 @@ type Rank struct {
 	id   int
 	proc *sim.Proc
 
-	// eng/pool/memo are the rank's simulation engine, buffer pool and
-	// cost-model memo. Serial worlds alias the world-global instances;
-	// sharded worlds point at the rank's node shard, which is what keeps
-	// pooling and memoization lock-free with shards running in parallel.
-	eng  *sim.Engine
-	pool *bufPool
-	memo *netmodel.Memo
+	// eng aliases the world's simulation engine, cached on the rank for
+	// the message hot paths.
+	eng *sim.Engine
 
 	// opFree recycles rmaOp headers issued by this rank (acks always land
 	// back at the origin, so the freelist never crosses ranks). See
@@ -708,24 +551,13 @@ type RankStats struct {
 	ReplayedOps    int64 // journaled RMA ops replayed during a restore
 
 	// PeakQueueResidency is the high-water mark of events pending in the
-	// scheduler of the engine this rank runs on (the world engine in
-	// serial mode, the rank's node shard in sharded mode) — the
-	// scheduler's working-set size. Filled on read by Stats.
+	// world engine's scheduler — the scheduler's working-set size.
+	// Filled on read by Stats.
 	PeakQueueResidency int
 }
 
 func newRank(w *World, id int) *Rank {
-	r := &Rank{w: w, id: id}
-	if s := w.sharded; s != nil {
-		shard := s.shardOf[id]
-		r.eng = s.engines[shard]
-		r.pool = &s.pools[shard]
-		r.memo = s.memos[shard]
-	} else {
-		r.eng = w.eng
-		r.pool = &w.pool
-		r.memo = w.memo
-	}
+	r := &Rank{w: w, id: id, eng: w.eng}
 	r.engine.init(r)
 	return r
 }
@@ -745,8 +577,7 @@ func (r *Rank) CommWorld() *Comm { return &Comm{g: r.w.commWorld, me: r.id, r: r
 // Now implements Env.
 func (r *Rank) Now() sim.Time { return r.eng.Now() }
 
-// Engine returns the simulation engine this rank runs on: the world
-// engine in serial mode, the rank's node shard in sharded mode.
+// Engine returns the simulation engine this rank runs on (the world's).
 func (r *Rank) Engine() *sim.Engine { return r.eng }
 
 // Proc returns the simulation process of this rank; harnesses use it for
@@ -831,13 +662,12 @@ func (r *Rank) localityTo(dest int) netmodel.Locality {
 
 // transferTo returns the wire time for n bytes from r to world rank dest.
 func (r *Rank) transferTo(dest, n int) sim.Duration {
-	return r.memo.TransferLoc(r.localityTo(dest), n)
+	return r.w.memo.TransferLoc(r.localityTo(dest), n)
 }
 
 // getOp fetches a zeroed rmaOp, reusing a recycled header when one is
 // available. The freelist is per-rank: every op returns to its origin
-// (ackDelivered runs there), so recycling needs no locking even with
-// shards issuing in parallel.
+// (ackDelivered runs there).
 func (r *Rank) getOp() *rmaOp {
 	if n := len(r.opFree); n > 0 {
 		o := r.opFree[n-1]

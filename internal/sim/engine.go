@@ -398,25 +398,9 @@ type Engine struct {
 
 	panicked bool
 	panicVal interface{}
-
-	// Sharded execution (see ShardGroup). limit is the exclusive upper
-	// bound of the current safe window: runWindow and a driving process
-	// stop before executing any event at limit or beyond. limited gates
-	// the per-iteration window check out of the serial hot loops; shard
-	// is this engine's index within its group; bgDiscard is set by the
-	// coordinator once no process anywhere in the group is alive, so
-	// background housekeeping stops exactly as in a serial run; wdErr
-	// records a watchdog trip inside runWindow for the coordinator.
-	limit     Time
-	winCap    int64 // absolute executed-events bound for this window (0 = none)
-	limited   bool
-	shard     int
-	bgDiscard bool
-	wdErr     *WatchdogError
 }
 
-// timeMax is the largest representable Time; a serial engine's window
-// limit, meaning "no limit".
+// timeMax is the largest representable Time.
 const timeMax = Time(math.MaxInt64)
 
 // New returns an Engine whose random source is seeded with seed, so that
@@ -430,7 +414,6 @@ func New(seed int64) *Engine {
 	return &Engine{
 		yield: make(chan struct{}, 1),
 		rng:   rand.New(rand.NewSource(seed)),
-		limit: timeMax,
 	}
 }
 
@@ -501,7 +484,7 @@ func (e *Engine) schedule(ev event) {
 // nextEvent pops the globally next event by (at, seq) into *ev,
 // merging the now-queue with the scheduler queue; it reports false,
 // leaving *ev untouched, when both are empty. The pointer form exists
-// for the hot loops (Run, runWindow, Proc.drive): writing through a
+// for the hot loops (Run, Proc.drive): writing through a
 // caller-owned slot instead of returning a 56-byte event by value
 // spares two struct copies per pop across non-inlined frames.
 // The now-queue drains before the clock can advance: its entries carry
@@ -664,16 +647,6 @@ func (e *Engine) DisableFastPaths() { e.fastOff = true }
 // between events) bit-identical to the slow path.
 func (e *Engine) advanceInlineOK(t Time) bool {
 	if e.fastOff || e.maxEvents > 0 || e.maxTime > 0 || e.stallEvents > 0 {
-		return false
-	}
-	if t >= e.limit {
-		// The advance would cross the current safe window: the process
-		// must park so the window barrier sees a quiescent shard.
-		return false
-	}
-	if e.winCap > 0 && e.executed >= e.winCap {
-		// Window event cap reached (group budget backstop): park so the
-		// shard returns to the barrier.
 		return false
 	}
 	return e.nowq.len() == 0 && (e.events.len() == 0 || e.events.minTime() > t)
@@ -949,99 +922,5 @@ func (e *Engine) Run() error {
 func (e *Engine) MustRun() {
 	if err := e.Run(); err != nil {
 		panic(err)
-	}
-}
-
-// peekTime returns the time of the next pending event without popping
-// it; ok is false when nothing is pending. This is the per-shard
-// horizon the window coordinator reads between windows.
-func (e *Engine) peekTime() (Time, bool) {
-	switch {
-	case e.nowq.len() > 0 && e.events.len() > 0:
-		if h := e.events.minTime(); h < e.nowq.headKey().at {
-			return h, true
-		}
-		return e.nowq.headKey().at, true
-	case e.nowq.len() > 0:
-		return e.nowq.headKey().at, true
-	case e.events.len() > 0:
-		return e.events.minTime(), true
-	}
-	return 0, false
-}
-
-// nextDesc describes the next pending event for watchdog reports.
-func (e *Engine) nextDesc() string {
-	t, ok := e.peekTime()
-	if !ok {
-		return "idle (no pending events)"
-	}
-	// Identify the event only when it is the scheduler minimum; a
-	// now-queue head is always a same-time follow-on, where the time
-	// alone tells the story.
-	if e.events.len() > 0 {
-		if v := e.events.minEvent(); v.at == t {
-			switch v.kind {
-			case evResume:
-				return fmt.Sprintf("next event at %v (resume %s)", t, v.p.name)
-			case evStart:
-				return fmt.Sprintf("next event at %v (start %s)", t, v.p.name)
-			}
-		}
-	}
-	return fmt.Sprintf("next event at %v", t)
-}
-
-// injectEvent pushes a cross-shard event straight onto the scheduler
-// queue under a sequence number reserved on the sending shard's engine. Only the
-// window coordinator calls it, between windows, when every shard is
-// quiescent.
-func (e *Engine) injectEvent(at Time, seq uint64, fn func(), r Runner) {
-	kind := evFn
-	if r != nil {
-		kind = evRun
-	}
-	e.events.push(event{at: at, seq: seq, fn: fn, run: r, kind: kind})
-}
-
-// runWindow executes events strictly before e.limit, exactly as Run
-// would, and returns when the next event is at or past the limit (or
-// nothing is pending). Deadlock and event-budget detection move to the
-// group coordinator, which sees all shards; per-engine stall and
-// virtual-time watchdogs are still honored here and reported through
-// e.wdErr.
-func (e *Engine) runWindow() {
-	var ev event
-	for {
-		if e.winCap > 0 && e.executed >= e.winCap {
-			// Group event budget nearly spent: return to the barrier so
-			// the coordinator can trip the watchdog with a full report
-			// instead of letting one shard spin inside a wide window.
-			return
-		}
-		t, ok := e.peekTime()
-		if !ok || t >= e.limit {
-			return
-		}
-		e.nextEvent(&ev)
-		if ev.bg && (e.live <= 0 || e.bgDiscard) {
-			continue
-		}
-		if p := e.execOne(ev); p != nil {
-			e.transfer(p)
-		}
-		if e.maxTime > 0 && e.now > e.maxTime {
-			e.wdErr = &WatchdogError{Time: e.now, Events: e.executed,
-				Limit: fmt.Sprintf("virtual-time limit %v", e.maxTime), Stuck: e.stuckProcs(),
-				Diagnostics: append(e.schedulerLines(), e.collectDiagnostics()...)}
-			return
-		}
-		if e.stallEvents > 0 && e.executed-e.lastAdvanceExec >= e.stallEvents {
-			e.wdErr = &WatchdogError{Time: e.now, Events: e.executed,
-				Limit: fmt.Sprintf("stalled: %d events with no time advance since %v",
-					e.stallEvents, e.lastAdvance),
-				Stuck: e.stuckProcs(), Diagnostics: append(e.schedulerLines(), e.collectDiagnostics()...)}
-			return
-		}
 	}
 }

@@ -12,7 +12,7 @@ import "math/bits"
 //
 // Determinism: the scheduler's contract is to pop the exact global
 // minimum by the (at, seq) total order, and every (at, seq) key is
-// unique (seq is monotone per engine, banded per shard). Any correct
+// unique (seq is monotone per engine). Any correct
 // implementation therefore yields byte-identical runs — bucketing
 // cannot reorder anything a heap would not, it only changes how much
 // work finding the minimum costs. The lockstep fuzz test in
@@ -164,8 +164,8 @@ func (l *ladder) minKey() evKey {
 
 // minTime returns the earliest scheduled time; the ladder must be
 // non-empty. The bottom slot doubles as the engine's next-event
-// register: inline-advance checks and shard-horizon computations read
-// it as a field load, never a structure probe.
+// register: inline-advance checks read it as a field load, never a
+// structure probe.
 func (l *ladder) minTime() Time { return l.cur[l.head].at }
 
 // minEvent returns the earliest event without popping it, for

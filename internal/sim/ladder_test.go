@@ -10,9 +10,9 @@ import (
 // every experiment's determinism guarantee dies. These tests drive the
 // two structures in lockstep through randomized workloads shaped like
 // the engine's real traffic — same-time seq ties, reserved
-// (out-of-order) sequence numbers, shard-banded seqs from mailbox
-// injection, far-future events that land in overflow rungs and the top
-// list — and assert identical pop streams. CI runs them under -race;
+// (out-of-order) sequence numbers, far-future events that land in
+// overflow rungs and the top list — plus adversarial seqs in high bands
+// far from the engine counter, and assert identical pop streams. CI runs them under -race;
 // the structures are single-goroutine, so -race here is about catching
 // accidental sharing introduced by future refactors, not concurrency.
 
@@ -28,7 +28,7 @@ type ladTestOp struct {
 // offsets are drawn from a mixture spanning "same instant" through
 // "beyond the highest rung", and seq assignment mixes the monotone
 // counter with reserved blocks (scheduled late, like Server chaining)
-// and high shard bands (like mailbox injection).
+// and high bands far from the counter (arbitrary unique keys).
 func genLadderOps(rng *rand.Rand, n int) []ladTestOp {
 	ops := make([]ladTestOp, 0, n)
 	var now Time   // time of the last pop, simulated
@@ -84,8 +84,8 @@ func genLadderOps(rng *rand.Rand, n int) []ladTestOp {
 				reserved = append(reserved, seq)
 				continue
 			case 2:
-				// Shard-banded seq, as produced by cross-shard mailbox
-				// injection (seq = shard<<48 | counter).
+				// High-band seq (band<<48 | counter): a unique key far
+				// from the engine counter, so ties on at order by band.
 				bandSeq++
 				s = uint64(1+rng.Intn(3))<<48 | bandSeq
 			default:

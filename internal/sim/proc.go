@@ -113,22 +113,6 @@ func (p *Proc) drive() {
 	e := p.eng
 	var ev event
 	for {
-		if e.limited {
-			// Sharded execution: stop at the window boundary (or the
-			// window event cap) and hand back to runWindow, exactly like
-			// the empty-queue case — the window barrier must observe a
-			// quiescent shard.
-			if e.winCap > 0 && e.executed >= e.winCap {
-				e.yield <- struct{}{}
-				<-p.resume
-				return
-			}
-			if t, ok := e.peekTime(); !ok || t >= e.limit {
-				e.yield <- struct{}{}
-				<-p.resume
-				return
-			}
-		}
 		if !e.nextEvent(&ev) {
 			// Nothing can ever wake us: hand back to Run, which
 			// reports the deadlock (or finishes, after a kill).

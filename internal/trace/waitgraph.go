@@ -3,8 +3,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/sim"
 )
 
 // WaitEdge is one blocked-on relation in a wait-for graph: process
@@ -33,25 +31,6 @@ func RenderWaitGraph(edges []WaitEdge) []string {
 	}
 	for _, e := range edges {
 		lines = append(lines, fmt.Sprintf("  rank%d waits on rank%d: %s", e.From, e.To, e.Label))
-	}
-	return lines
-}
-
-// RenderSchedulerStates formats per-engine scheduler snapshots for
-// hang diagnostics, one line per engine, so a frozen-clock report names
-// the blocking structure — queue depth, active bucket span, peak
-// residency — and not just the timestamp. Single-engine worlds get an
-// unnumbered line.
-func RenderSchedulerStates(states []sim.SchedulerState) []string {
-	if len(states) == 0 {
-		return nil
-	}
-	if len(states) == 1 {
-		return []string{"  " + states[0].String()}
-	}
-	lines := make([]string, len(states))
-	for i, s := range states {
-		lines[i] = fmt.Sprintf("  engine %d %s", i, s)
 	}
 	return lines
 }
