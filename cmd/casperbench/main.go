@@ -206,18 +206,35 @@ type baseline struct {
 // small but nonzero.
 const allocGateSlack = 0.05
 
+// readGateBaseline loads the committed baseline JSON a gate compares
+// against and errors unless it measured the same experiment, scale and
+// seed as run: the gated counters depend on all three, so a baseline of
+// another configuration says nothing about a regression.
+func readGateBaseline(gate, path string, run *baseline) (baseline, error) {
+	var base baseline
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return base, fmt.Errorf("%s: %w", gate, err)
+	}
+	if err := json.Unmarshal(data, &base); err != nil {
+		return base, fmt.Errorf("%s: parsing %s: %w", gate, path, err)
+	}
+	if base.Experiment != run.Experiment || base.Scale != run.Scale || base.Seed != run.Seed {
+		return base, fmt.Errorf("%s: %s measured %s at -scale %g -seed %d; this run is %s at -scale %g -seed %d",
+			gate, path, base.Experiment, base.Scale, base.Seed, run.Experiment, run.Scale, run.Seed)
+	}
+	return base, nil
+}
+
 // checkAllocGate compares the serial measurement against a committed
 // baseline JSON and errors when allocs/event regressed by more than
 // allocGateSlack — the CI regression gate for the zero-alloc event loop.
-func checkAllocGate(path string, m bench.Measurement) error {
-	data, err := os.ReadFile(path)
+func checkAllocGate(path string, run *baseline) error {
+	base, err := readGateBaseline("allocgate", path, run)
 	if err != nil {
-		return fmt.Errorf("allocgate: %w", err)
+		return err
 	}
-	var base baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("allocgate: parsing %s: %w", path, err)
-	}
+	m := run.Serial
 	limit := base.Serial.AllocsPerEvent + allocGateSlack
 	if m.AllocsPerEvent > limit {
 		return fmt.Errorf("allocgate: allocs/event %.4f exceeds baseline %.4f + %.2f slack (%s)",
@@ -244,15 +261,12 @@ const schedGateSlack = 0.15
 // checkSchedGate compares the serial events/sec of the current run
 // against the committed baseline JSON and errors on a drop beyond
 // schedGateSlack — the CI regression gate for scheduler throughput.
-func checkSchedGate(path string, m bench.Measurement) error {
-	data, err := os.ReadFile(path)
+func checkSchedGate(path string, run *baseline) error {
+	base, err := readGateBaseline("schedgate", path, run)
 	if err != nil {
-		return fmt.Errorf("schedgate: %w", err)
+		return err
 	}
-	var base baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("schedgate: parsing %s: %w", path, err)
-	}
+	m := run.Serial
 	if base.Serial.EventsPerSec <= 0 {
 		return fmt.Errorf("schedgate: %s has no serial events/sec", path)
 	}
@@ -310,12 +324,12 @@ func runBench(e bench.Experiment, o bench.Options, c benchConfig) error {
 		return fmt.Errorf("%s: parallel output differs from serial", e.ID)
 	}
 	if c.allocGate != "" {
-		if err := checkAllocGate(c.allocGate, ms); err != nil {
+		if err := checkAllocGate(c.allocGate, &b); err != nil {
 			return err
 		}
 	}
 	if c.schedGate != "" {
-		if err := checkSchedGate(c.schedGate, ms); err != nil {
+		if err := checkSchedGate(c.schedGate, &b); err != nil {
 			return err
 		}
 	}

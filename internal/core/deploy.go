@@ -38,6 +38,10 @@ type deployment struct {
 	usersByNode  [][]int // node -> user world ranks
 	maxUsers     int     // max users on any node (internal window count, III-A)
 
+	// bound memoizes boundGhost by world rank (-1: not yet computed);
+	// ghostsByNode is fixed after Init, so neither is the binding.
+	bound []int
+
 	// journal is the replayable command log enabling sequencer
 	// succession; nil in fault-free worlds (see journal.go).
 	journal *cmdJournal
@@ -522,16 +526,36 @@ func (d *deployment) userLocalIndex(worldRank int) int {
 // balance within the preferred set by local index (topology-aware
 // binding, Section II-A).
 func (d *deployment) boundGhost(worldRank int) int {
-	ghosts := d.ghostsOf(worldRank)
-	var sameNUMA []int
-	for _, g := range ghosts {
-		if d.place.SameNUMA(g, worldRank) {
-			sameNUMA = append(sameNUMA, g)
+	if d.bound == nil {
+		d.bound = make([]int, d.world.Size())
+		for i := range d.bound {
+			d.bound[i] = -1
 		}
 	}
-	pool := ghosts
-	if len(sameNUMA) > 0 {
-		pool = sameNUMA
+	if g := d.bound[worldRank]; g >= 0 {
+		return g
 	}
-	return pool[d.userLocalIndex(worldRank)%len(pool)]
+	ghosts := d.ghostsOf(worldRank)
+	same := 0
+	for _, g := range ghosts {
+		if d.place.SameNUMA(g, worldRank) {
+			same++
+		}
+	}
+	i := d.userLocalIndex(worldRank)
+	g := ghosts[i%len(ghosts)]
+	if same > 0 {
+		i %= same
+		for _, gw := range ghosts {
+			if d.place.SameNUMA(gw, worldRank) {
+				if i == 0 {
+					g = gw
+					break
+				}
+				i--
+			}
+		}
+	}
+	d.bound[worldRank] = g
+	return g
 }

@@ -95,38 +95,23 @@ type lbCount struct{ ops, bytes int64 }
 // buildLayout computes, at window creation, the routing metadata for
 // every user target: shared-segment base offsets (exchanged sizes),
 // ghost sets (as internal-comm ranks), bindings, and segment chunking.
+// Every target of a node shares one read-only ghost slice: the callers
+// that extend a ghost set (flushRanks, progressRanks) copy it first.
 func (cw *casperWin) buildLayout(mySize int, topo winTopology) {
 	d := cw.p.d
 	sizes := cw.comm.AllgatherInt(mySize)
 	n := cw.comm.Size()
 	cw.layout = make([]tinfo, n)
 	type nodeAcc struct {
-		off   int
-		total int
+		off    int
+		total  int
+		ghosts []int
 	}
-	accs := map[int]*nodeAcc{}
+	accs := make([]nodeAcc, len(d.ghostsByNode))
 	align := func(x int) int { return (x + mpi.MaxBasicSize - 1) / mpi.MaxBasicSize * mpi.MaxBasicSize }
-	worldToUser := map[int]int{}
+	worldToUser := make([]int, d.world.Size())
 	for t := 0; t < n; t++ {
 		worldToUser[cw.comm.WorldRank(t)] = t
-	}
-	// Per node: walk the node window's members in world-rank order,
-	// accumulating 16-aligned offsets exactly as WinAllocateShared
-	// does (ghosts contribute zero bytes).
-	for node, winUsers := range topo.usersByNode {
-		acc := &nodeAcc{}
-		accs[node] = acc
-		for _, wr := range winUsers { // ascending world rank
-			ut := worldToUser[wr]
-			cw.layout[ut] = tinfo{
-				world: wr,
-				node:  node,
-				base:  acc.off,
-				size:  sizes[ut],
-			}
-			acc.off += align(sizes[ut])
-			acc.total += align(sizes[ut])
-		}
 	}
 	toInternal := func(worldRank int) int {
 		cr, ok := cw.internal.CommRankOf(worldRank)
@@ -135,12 +120,31 @@ func (cw *casperWin) buildLayout(mySize int, topo winTopology) {
 		}
 		return cr
 	}
+	// Per node: walk the node window's members in world-rank order,
+	// accumulating 16-aligned offsets exactly as WinAllocateShared
+	// does (ghosts contribute zero bytes).
+	for node, winUsers := range topo.usersByNode {
+		acc := &accs[node]
+		acc.ghosts = make([]int, len(d.ghostsByNode[node]))
+		for i, gw := range d.ghostsByNode[node] {
+			acc.ghosts[i] = toInternal(gw)
+		}
+		for _, wr := range winUsers { // ascending world rank
+			ut := worldToUser[wr]
+			cw.layout[ut] = tinfo{
+				world:  wr,
+				node:   node,
+				base:   acc.off,
+				size:   sizes[ut],
+				ghosts: acc.ghosts,
+			}
+			acc.off += align(sizes[ut])
+			acc.total += align(sizes[ut])
+		}
+	}
 	g := d.cfg.NumGhosts
 	for t := range cw.layout {
 		ti := &cw.layout[t]
-		for _, gw := range d.ghostsOf(ti.world) {
-			ti.ghosts = append(ti.ghosts, toInternal(gw))
-		}
 		ti.bound = toInternal(d.boundGhost(ti.world))
 		ti.selfInternal = toInternal(ti.world)
 		if len(cw.lockWins) > 0 {

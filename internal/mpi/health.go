@@ -9,7 +9,7 @@ import (
 // system:
 //
 //   - Ground truth: killRank marks a Rank failed at its crash instant.
-//     From then on its goroutine never runs again, messages to it are
+//     From then on its process never runs again, messages to it are
 //     swallowed, and collectives complete over the survivors.
 //   - Detection: the rest of the system only learns about the death
 //     through missed heartbeats. healthState schedules a beacon per

@@ -7,12 +7,12 @@ package mpi
 // recycle through the pool instead of pressuring the garbage collector
 // once per operation.
 //
-// The pool is per-World: a world runs on one goroutine (the strict
-// alternation of the simulation engine), so no locking is needed, and
-// parallel sweep runs in separate worlds never share buffers. Buffers
-// are handed out at exact request length over power-of-two capacity
-// classes; callers always overwrite the full length, so stale contents
-// can never leak into results.
+// The pool is per-World: a world runs one simulated process or event at
+// a time (the strict alternation of the simulation engine), so no
+// locking is needed, and parallel sweep runs in separate worlds never
+// share buffers. Buffers are handed out at exact request length over
+// power-of-two capacity classes; callers always overwrite the full
+// length, so stale contents can never leak into results.
 type bufPool struct {
 	classes [poolClasses][][]byte
 

@@ -22,7 +22,7 @@ var worldEvents atomic.Int64
 func TotalEventsExecuted() int64 { return worldEvents.Load() }
 
 // worldInlined accumulates inline run-to-completion advances (events
-// that skipped the heap and the goroutine switch entirely) across all
+// that skipped the heap and the process switch entirely) across all
 // World.Run calls, mirroring worldEvents.
 var worldInlined atomic.Int64
 
@@ -155,7 +155,7 @@ type World struct {
 	pool bufPool
 
 	// memo caches the net cost-model lookups (latency memoization).
-	// Owned by this world's single simulation goroutine.
+	// Owned by this world's engine, which runs one process at a time.
 	memo *netmodel.Memo
 
 	// opRecycle enables rmaOp header recycling (see Rank.getOp). Disabled

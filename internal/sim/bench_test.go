@@ -120,9 +120,10 @@ func BenchmarkScheduler(b *testing.B) {
 // BenchmarkInlineCompletion isolates the run-to-completion fast path for
 // Advance: a lone process with nothing else scheduled advances the clock
 // b.N times. "inline" completes every call without parking or touching
-// the heap; "parked" forces the classic park → heap push → pop → resume
-// round trip via DisableFastPaths. The gap between the two is the
-// goroutine-switch tax the fast path removes per MPI-call-shaped event.
+// the scheduler; "parked" forces the park → scheduler push → pop →
+// resume round trip via DisableFastPaths, whose handoff is the same
+// coroutine switch pair every parked process pays. The gap between the
+// two is the switch tax the fast path removes per MPI-call-shaped event.
 func BenchmarkInlineCompletion(b *testing.B) {
 	run := func(b *testing.B, fastOff bool) {
 		b.ReportAllocs()

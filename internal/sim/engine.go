@@ -1,12 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine
-// with cooperatively scheduled goroutine processes running in virtual time.
+// with cooperatively scheduled processes running in virtual time.
 //
-// The engine executes exactly one goroutine at a time: either the event
-// loop itself or a single resumed process. Processes hand control back by
-// parking (blocking on a simulation primitive) or by returning. Because of
-// this strict alternation, simulation state — including state shared
-// between processes — needs no locking, and runs are fully deterministic
-// given a seed.
+// Each process is a coroutine of the engine, and exactly one thing runs
+// at a time: either the event loop itself or a single resumed process.
+// Processes hand control back by parking (blocking on a simulation
+// primitive) or by returning. Because of this strict alternation,
+// simulation state — including state shared between processes — needs
+// no locking, and runs are fully deterministic given a seed.
 //
 // All simulated time is virtual: a Proc that calls Advance consumes
 // simulated nanoseconds, not wall-clock time.
@@ -377,7 +377,6 @@ type Engine struct {
 	events schedQ
 	nowq   nowQueue // same-time events, run before the scheduler
 	seq    uint64
-	yield  chan struct{}
 	procs  []*Proc
 	live   int
 	rng    *rand.Rand
@@ -395,9 +394,6 @@ type Engine struct {
 	lastAdvanceExec int64 // executed count when the clock last advanced
 
 	diagnostics []func() []string // extra context appended to errors
-
-	panicked bool
-	panicVal interface{}
 }
 
 // timeMax is the largest representable Time.
@@ -405,16 +401,8 @@ const timeMax = Time(math.MaxInt64)
 
 // New returns an Engine whose random source is seeded with seed, so that
 // any randomized model decisions are reproducible.
-//
-// The yield channel is a one-slot semaphore, not a rendezvous: strict
-// alternation guarantees at most one token is ever in flight, so a
-// deposit never blocks and every park/resume costs one blocking channel
-// operation instead of two (see transfer and Proc.park).
 func New(seed int64) *Engine {
-	return &Engine{
-		yield: make(chan struct{}, 1),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // SetScheduler selects the scheduler backing store. It must be called
@@ -484,9 +472,9 @@ func (e *Engine) schedule(ev event) {
 // nextEvent pops the globally next event by (at, seq) into *ev,
 // merging the now-queue with the scheduler queue; it reports false,
 // leaving *ev untouched, when both are empty. The pointer form exists
-// for the hot loops (Run, Proc.drive): writing through a
-// caller-owned slot instead of returning a 56-byte event by value
-// spares two struct copies per pop across non-inlined frames.
+// for the hot loop in Run: writing through a caller-owned slot instead
+// of returning a 56-byte event by value spares two struct copies per
+// pop across non-inlined frames.
 // The now-queue drains before the clock can advance: its entries carry
 // at == now, which no queued event can beat without an equal at and a
 // smaller seq.
@@ -634,7 +622,7 @@ func (e *Engine) InlinedAdvances() int64 { return e.inlined }
 // DisableFastPaths turns off the run-to-completion optimizations
 // (inline advance and same-time event fusion), forcing every event
 // through the scheduler queue and every Advance through a park/resume
-// pair. Runs
+// pair. The park/resume handoff itself is the same either way. Runs
 // are bit-identical either way — the knob exists so tests can assert
 // exactly that, and so regressions can be bisected to the fast path.
 func (e *Engine) DisableFastPaths() { e.fastOff = true }
@@ -667,7 +655,7 @@ func (e *Engine) noteInlineAdvance(t Time) {
 
 // Kill terminates a process from engine context without resuming it:
 // the process is removed from the live count and every future attempt
-// to wake or resume it becomes a no-op. Its goroutine stays parked for
+// to wake or resume it becomes a no-op. Its coroutine stays parked for
 // the remainder of the program — the simulation analogue of a process
 // that died with state intact. Killing a finished process is a no-op.
 func (e *Engine) Kill(p *Proc) {
@@ -727,46 +715,13 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}, 1),
-		state:  stateNew,
-	}
+	p := &Proc{eng: e, id: len(e.procs), name: name, state: stateNew}
+	p.coroutine(fn)
 	e.procs = append(e.procs, p)
 	e.live++
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.panicVal = r
-				e.panicked = true
-			}
-			p.state = stateDone
-			e.live--
-			e.yield <- struct{}{}
-		}()
-		<-p.resume
-		fn(p)
-	}()
 	e.seq++
 	e.schedule(event{at: t, seq: e.seq, p: p, kind: evStart})
 	return p
-}
-
-// transfer hands control to p and blocks until p parks or terminates.
-// It must only be called from engine context (inside an event callback).
-// A panic inside the process is re-raised here, in the engine's
-// goroutine, so it propagates out of Run to the harness or test.
-func (e *Engine) transfer(p *Proc) {
-	if p.killed {
-		return
-	}
-	p.resume <- struct{}{}
-	<-e.yield
-	if e.panicked {
-		panic(e.panicVal)
-	}
 }
 
 // DeadlockError reports that Run exhausted all events while processes were
@@ -823,21 +778,10 @@ func (e *Engine) stuckProcs() []string {
 	return out
 }
 
-// driveOK reports whether run-to-completion driving is enabled: a
-// parked process may then execute the event loop itself (see
-// Proc.drive). Disabled alongside the other fast paths whenever a
-// watchdog is armed, because the Run loop checks its limits between
-// events and a driving process does not.
-func (e *Engine) driveOK() bool {
-	return !e.fastOff && e.maxEvents == 0 && e.maxTime == 0 && e.stallEvents == 0
-}
-
 // execOne commits the clock/bookkeeping mutation for ev and runs it if
 // it is an engine-context event (fn or Runner). For resume/start events
-// it only does the bookkeeping and returns the process to transfer to —
-// the caller decides how to hand control over (the engine blocks in
-// transfer; a driving process hands off directly). A nil return with
-// ok=true means the event is fully handled.
+// it only does the bookkeeping and returns the process for Run to
+// resume. A nil return means the event is fully handled.
 func (e *Engine) execOne(ev event) *Proc {
 	if ev.at > e.now || e.executed == 0 {
 		e.lastAdvance = ev.at
@@ -890,7 +834,7 @@ func (e *Engine) Run() error {
 			continue
 		}
 		if p := e.execOne(ev); p != nil {
-			e.transfer(p)
+			p.resumeFromEngine()
 		}
 		if e.maxEvents > 0 && e.executed >= e.maxEvents {
 			return &WatchdogError{Time: e.now, Events: e.executed,

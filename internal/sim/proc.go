@@ -11,14 +11,16 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
-// Engine. All Proc methods must be called from the process's own
-// goroutine while it is running.
+// Proc is a simulated process: a coroutine of the Engine, which resumes
+// it when one of its events fires and regains control when it parks or
+// returns. All Proc methods must be called from the process itself
+// while it is running.
 type Proc struct {
 	eng        *Engine
 	id         int
 	name       string
-	resume     chan struct{}
+	next       func() (struct{}, bool) // resume; false once fn has returned
+	yield      func(struct{}) bool     // suspend back to the engine
 	state      procState
 	parkReason string
 	killed     bool // Engine.Kill called: never resume again
@@ -52,7 +54,7 @@ func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
 // now+d, the park/resume round trip is pure overhead — the engine would
 // immediately pop this process's own resume event and switch straight
 // back. In that case the clock advances inline and the process keeps
-// running, eliding two goroutine switches and a heap push/pop. The
+// running, eliding two coroutine switches and a scheduler push/pop. The
 // observable schedule is identical (see Engine.advanceInlineOK).
 func (p *Proc) Advance(d Duration) {
 	if d < 0 {
@@ -80,57 +82,23 @@ func (p *Proc) AdvanceTo(t Time) {
 }
 
 // park blocks the process until something resumes it. reason appears in
-// deadlock reports. With the run-to-completion fast paths enabled the
-// parked process drives the event loop itself instead of bouncing
-// through the engine goroutine (see drive); otherwise the yield deposit
-// never blocks (one-slot semaphore under strict alternation), so a park
-// is a single blocking channel operation.
+// deadlock reports. Control goes straight back to the engine, which
+// resumes the process from Run when its wakeup event fires.
 func (p *Proc) park(reason string) {
 	p.state = stateParked
 	p.parkReason = reason
-	e := p.eng
-	if e.driveOK() {
-		p.drive()
-	} else {
-		e.yield <- struct{}{}
-		<-p.resume
-	}
+	p.yield(struct{}{})
 	p.state = stateRunning
 	p.parkReason = ""
 }
 
-// drive runs the event loop from the parked process's own goroutine.
-// fn/Runner events execute inline with no channel traffic at all; when
-// the process's own resume event comes up it simply keeps running; a
-// resume of a different process is handed off goroutine-to-goroutine,
-// halving the switch cost of the park → engine → resume round trip.
-// Event order is exactly Run's — drive pops the same queues in the same
-// order and shares Run's bookkeeping (execOne) — so a run is
-// bit-identical whether the engine or a process drives. The engine
-// goroutine stays blocked in transfer throughout and only takes over
-// again when a process exits or the queues drain.
-func (p *Proc) drive() {
-	e := p.eng
-	var ev event
-	for {
-		if !e.nextEvent(&ev) {
-			// Nothing can ever wake us: hand back to Run, which
-			// reports the deadlock (or finishes, after a kill).
-			e.yield <- struct{}{}
-			<-p.resume
-			return
-		}
-		if ev.bg && e.live <= 0 {
-			continue
-		}
-		if q := e.execOne(ev); q != nil {
-			if q == p {
-				return // own wakeup: keep running, zero channel ops
-			}
-			q.resume <- struct{}{}
-			<-p.resume
-			return
-		}
+// resumeFromEngine runs the process from engine context until it parks
+// or returns. A panic in the process comes out of here, and so out of
+// Run, with its original value.
+func (p *Proc) resumeFromEngine() {
+	if _, ok := p.next(); !ok {
+		p.state = stateDone
+		p.eng.live--
 	}
 }
 

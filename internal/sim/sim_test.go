@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -304,19 +305,33 @@ func TestServerIdleGapThenBusy(t *testing.T) {
 	e.MustRun()
 }
 
+// TestDeadlockDetection checks that a deadlock report names every
+// parked process with its reason, sorted, and omits finished and killed
+// ones.
 func TestDeadlockDetection(t *testing.T) {
 	e := New(1)
 	var c Completion
+	var sig Signal
 	e.Spawn("stuck", func(p *Proc) {
 		c.Await(p, "never completed")
+	})
+	e.Spawn("also", func(p *Proc) {
+		p.Advance(Microsecond)
+		sig.Wait(p, "no broadcast")
+	})
+	victim := e.Spawn("killed", func(p *Proc) { sig.Wait(p, "no broadcast") })
+	e.Spawn("done", func(p *Proc) {
+		p.Advance(2 * Microsecond)
+		e.Kill(victim)
 	})
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
-	if len(de.Stuck) != 1 || de.Stuck[0] != "stuck: never completed" {
-		t.Fatalf("stuck = %v", de.Stuck)
+	want := []string{"also: no broadcast", "stuck: never completed"}
+	if !reflect.DeepEqual(de.Stuck, want) {
+		t.Fatalf("stuck = %v, want %v", de.Stuck, want)
 	}
 	if de.Error() == "" {
 		t.Fatal("empty error string")
