@@ -5,7 +5,7 @@
 //
 //	casperbench -list
 //	casperbench -run fig4a [-csv] [-scale 0.5] [-seed 7] [-parallel 8]
-//	casperbench -all [-sched heap]
+//	casperbench -all [-csv] [-scale 0.12]
 //	casperbench -bench fig5a -benchcount 5 -benchout BENCH_fig5a.json
 //
 // -parallel is the scaling knob: independent sweep points run on that
@@ -19,11 +19,6 @@
 // times; the baseline's headline blocks hold the median round (by
 // events/sec) and the per-round numbers are recorded alongside.
 // -cpuprofile and -memprofile write pprof profiles of the run.
-//
-// -sched selects the event scheduler for every world: "ladder" (the
-// default) or "heap" (the differential-testing oracle the ladder
-// queue replaced). Output is byte-identical either way; the flag
-// exists to keep that claim one diff away.
 package main
 
 import (
@@ -35,7 +30,6 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/bench"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -46,10 +40,8 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of an aligned table")
 		scale      = flag.Float64("scale", 1.0, "sweep scale factor (smaller = faster)")
 		seed       = flag.Int64("seed", 42, "simulation seed")
-		quick      = flag.Bool("quick", false, "CI smoke mode: shorthand for -scale 0.12")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines (1 = serial)")
 		chaosSeed  = flag.Int64("chaosseed", 0, "faultchaos: replay this single chaos seed verbosely (0 = full sweep; implies -run faultchaos)")
-		schedName  = flag.String("sched", "ladder", "event scheduler: ladder (default) or heap (the differential-testing oracle)")
 		benchID    = flag.String("bench", "", "experiment id to benchmark serial vs -parallel")
 		benchCount = flag.Int("benchcount", 1, "with -bench: repeat the serial and parallel measurements N times and report the median round")
 		benchOut   = flag.String("benchout", "", "write the -bench JSON baseline to this file (default stdout)")
@@ -59,14 +51,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file")
 	)
 	flag.Parse()
-	if *quick {
-		*scale = 0.12
-	}
-	sched, err := sim.ParseScheduler(*schedName)
-	if err != nil {
-		fatalf("casperbench: %v", err)
-	}
-	bench.SetScheduler(sched)
 	if *chaosSeed > 0 {
 		// -chaosseed only means something to faultchaos: a bare
 		// invocation implies the replay run, anything else is a mistake
@@ -122,7 +106,6 @@ func main() {
 			allocGate: *allocGate,
 			schedGate: *schedGate,
 			count:     *benchCount,
-			sched:     sched,
 		}); err != nil {
 			fatalf("casperbench: %v", err)
 		}
@@ -175,7 +158,6 @@ type baseline struct {
 	Experiment string            `json:"experiment"`
 	Scale      float64           `json:"scale"`
 	Seed       int64             `json:"seed"`
-	Sched      string            `json:"sched"` // event scheduler (-sched): "ladder" or "heap"
 	GoVersion  string            `json:"go_version"`
 	GOOS       string            `json:"goos"`
 	GOARCH     string            `json:"goarch"`
@@ -250,12 +232,13 @@ func checkAllocGate(path string, run *baseline) error {
 // measurements taken in different processes (the committed baseline
 // was regenerated on an earlier run of the same host class), so this
 // is the noisier of the two gates and carries a 15% slack; use
-// -benchcount so the gated number is a median,
-// not a single roll of the scheduler dice. The gate's job is to catch
-// a scheduler regression that erases the ladder queue's win over the
-// heap (~8-13% end-to-end), which would show up as a >15% drop against
-// a ladder baseline only in combination with other regressions — the
-// finer-grained guard is BenchmarkScheduler in internal/sim.
+// -benchcount so the gated number is a median, not a single roll of
+// the scheduler dice. A scheduler regression the size of the ladder
+// queue's measured win over the old 4-ary heap (~8-13% end-to-end)
+// stays inside that slack on its own and trips the gate only in
+// combination with other regressions — the finer-grained guard is
+// BenchmarkScheduler in internal/sim, which still runs the ladder
+// against the heap, kept there as the test oracle.
 const schedGateSlack = 0.15
 
 // checkSchedGate compares the serial events/sec of the current run
@@ -286,7 +269,6 @@ type benchConfig struct {
 	allocGate string
 	schedGate string
 	count     int // -benchcount
-	sched     sim.SchedulerKind
 }
 
 func runBench(e bench.Experiment, o bench.Options, c benchConfig) error {
@@ -301,7 +283,6 @@ func runBench(e bench.Experiment, o bench.Options, c benchConfig) error {
 		Experiment:      e.ID,
 		Scale:           o.Scale,
 		Seed:            o.Seed,
-		Sched:           c.sched.String(),
 		GoVersion:       runtime.Version(),
 		GOOS:            runtime.GOOS,
 		GOARCH:          runtime.GOARCH,

@@ -329,9 +329,9 @@ func TestRMAWithoutEpochErrorsReturn(t *testing.T) {
 		win, buf := r.WinAllocate(c, 64, nil)
 		c.Barrier()
 		if r.Rank() == 0 {
-			freeBefore = len(r.opFree)
+			freeBefore = len(r.w.opFree)
 			win.Accumulate(PutFloat64s([]float64{5}), 1, 0, Scalar(Float64), OpSum)
-			freeAfter = len(r.opFree)
+			freeAfter = len(r.w.opFree)
 			got = r.Err()
 			r.ClearErr()
 			win.Lock(1, LockShared, AssertNone)

@@ -176,10 +176,10 @@ func (o *rmaOp) ackBytes() int {
 
 // --- Issue path (origin side) ----------------------------------------
 
-// newOp fetches a zeroed rmaOp from the issuing rank's freelist (or the
-// heap when recycling is off) and fills the fields common to every kind.
+// newOp fetches a zeroed rmaOp from the world's freelist (or the heap
+// when recycling is off) and fills the fields common to every kind.
 func (w *Win) newOp(kind OpKind, target, disp int, dt Datatype, op Op) *rmaOp {
-	o := w.r.getOp()
+	o := w.r.w.getOp()
 	o.kind, o.target, o.disp, o.dt, o.op = kind, target, disp, dt, op
 	return o
 }
@@ -258,7 +258,7 @@ func (w *Win) issue(op *rmaOp) {
 				// ErrorsReturn: drop the op before any accounting. data/cmp
 				// still alias the caller's buffers here, so there is
 				// nothing pooled to release — just the op header.
-				r.putOp(op)
+				r.w.putOp(op)
 				return
 			}
 		}
@@ -267,7 +267,7 @@ func (w *Win) issue(op *rmaOp) {
 		// Like the range error: nothing is pooled, counted or credited
 		// yet, so dropping the op header is the whole cleanup.
 		r.raise(ErrRMASync, "%s", msg)
-		r.putOp(op)
+		r.w.putOp(op)
 		return
 	}
 
@@ -285,7 +285,7 @@ func (w *Win) issue(op *rmaOp) {
 			if w.g.onOpDone != nil {
 				w.g.onOpDone(w.me, op.target, op.disp)
 			}
-			r.putOp(op)
+			r.w.putOp(op)
 			return
 		}
 		op.credit = ch
@@ -627,5 +627,5 @@ func (g *winGlobal) opTerminal(o *rmaOp) {
 	}
 	// Recycle the header last: putOp zeroes the op. Under a fault plan
 	// recycling is disabled (packets hold op pointers past this point).
-	g.rankOf(o.origin).putOp(o)
+	g.w.putOp(o)
 }

@@ -119,11 +119,6 @@ type Config struct {
 	// fails fast instead of spinning).
 	WatchdogEvents int64
 	WatchdogTime   sim.Time
-	// Sched selects the engine's event-scheduler implementation. The
-	// zero value is the ladder queue; sim.SchedHeap selects the retained
-	// 4-ary heap, the differential-testing oracle. Runs are bit-identical
-	// either way (see sim.SchedulerKind).
-	Sched sim.SchedulerKind
 }
 
 // World is one simulated MPI job: an engine, a placement, and N ranks.
@@ -154,11 +149,14 @@ type World struct {
 	// pool recycles transient RMA message-path buffers (see pool.go).
 	pool bufPool
 
+	// opFree recycles rmaOp headers (see getOp/putOp).
+	opFree []*rmaOp
+
 	// memo caches the net cost-model lookups (latency memoization).
 	// Owned by this world's engine, which runs one process at a time.
 	memo *netmodel.Memo
 
-	// opRecycle enables rmaOp header recycling (see Rank.getOp). Disabled
+	// opRecycle enables rmaOp header recycling (see World.getOp). Disabled
 	// under a fault plan, where reliability packets retain op pointers
 	// past terminal state.
 	opRecycle bool
@@ -202,7 +200,6 @@ func NewWorld(cfg Config) (*World, error) {
 		memo:      netmodel.NewMemo(cfg.Net),
 		opRecycle: cfg.Fault == nil,
 	}
-	w.eng.SetScheduler(cfg.Sched)
 	if cfg.Validate {
 		w.validator = newValidator()
 	}
@@ -484,11 +481,6 @@ type Rank struct {
 	// the message hot paths.
 	eng *sim.Engine
 
-	// opFree recycles rmaOp headers issued by this rank (acks always land
-	// back at the origin, so the freelist never crosses ranks). See
-	// getOp/putOp.
-	opFree []*rmaOp
-
 	engine  rankEngine
 	mailbox mailbox
 
@@ -666,24 +658,23 @@ func (r *Rank) transferTo(dest, n int) sim.Duration {
 }
 
 // getOp fetches a zeroed rmaOp, reusing a recycled header when one is
-// available. The freelist is per-rank: every op returns to its origin
-// (ackDelivered runs there).
-func (r *Rank) getOp() *rmaOp {
-	if n := len(r.opFree); n > 0 {
-		o := r.opFree[n-1]
-		r.opFree[n-1] = nil
-		r.opFree = r.opFree[:n-1]
+// available.
+func (w *World) getOp() *rmaOp {
+	if n := len(w.opFree); n > 0 {
+		o := w.opFree[n-1]
+		w.opFree[n-1] = nil
+		w.opFree = w.opFree[:n-1]
 		return o
 	}
 	return &rmaOp{}
 }
 
-// putOp returns an op header to the issuing rank's freelist once nothing
-// can reference it again. No-op under a fault plan (see opRecycle).
-func (r *Rank) putOp(o *rmaOp) {
-	if !r.w.opRecycle {
+// putOp returns an op header to the world's freelist once nothing can
+// reference it again. No-op under a fault plan (see opRecycle).
+func (w *World) putOp(o *rmaOp) {
+	if !w.opRecycle {
 		return
 	}
 	*o = rmaOp{}
-	r.opFree = append(r.opFree, o)
+	w.opFree = append(w.opFree, o)
 }

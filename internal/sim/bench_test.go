@@ -81,40 +81,53 @@ func BenchmarkEventLoop(b *testing.B) {
 // that matters is BenchmarkEventLoop / BENCH_*.json; this one localizes
 // the scheduler's share.
 func BenchmarkScheduler(b *testing.B) {
+	// The loops are written out per structure so the timed calls are
+	// direct, as they are in the engine.
 	for _, w := range []int{16, 64, 256} {
-		for _, impl := range []string{"ladder", "heap"} {
-			b.Run(fmt.Sprintf("%s/w%d", impl, w), func(b *testing.B) {
-				b.ReportAllocs()
-				var q schedQ
-				q.useHeap = impl == "heap"
-				rng := rand.New(rand.NewSource(1))
-				offs := make([]Time, 1024) // precomputed so rng cost stays out of the loop
-				for i := range offs {
-					switch rng.Intn(10) {
-					case 0, 1:
-						offs[i] = Time(rng.Intn(1 << ladShift))
-					case 2:
-						offs[i] = Time(rng.Int63n(40 * int64(Microsecond)))
-					default:
-						offs[i] = Time(rng.Int63n(int64(Microsecond)))
-					}
-				}
-				var now Time
-				seq := uint64(0)
-				for i := 0; i < w; i++ {
-					seq++
-					q.push(event{at: now + offs[seq&1023], seq: seq})
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev := q.pop()
-					now = ev.at
-					seq++
-					q.push(event{at: now + offs[seq&1023], seq: seq})
-				}
-			})
+		b.Run(fmt.Sprintf("ladder/w%d", w), func(b *testing.B) {
+			var q ladder
+			offs, now, seq := holdModel(b, w, q.push)
+			for i := 0; i < b.N; i++ {
+				now = q.pop().at
+				seq++
+				q.push(event{at: now + offs[seq&1023], seq: seq})
+			}
+		})
+		b.Run(fmt.Sprintf("heap/w%d", w), func(b *testing.B) {
+			var q eventHeap
+			offs, now, seq := holdModel(b, w, q.push)
+			for i := 0; i < b.N; i++ {
+				now = q.pop().at
+				seq++
+				q.push(event{at: now + offs[seq&1023], seq: seq})
+			}
+		})
+	}
+}
+
+// holdModel fills a queue with BenchmarkScheduler's w pending events
+// and resets the timer. It returns the offset table the churn draws
+// from, the current time and the last seq used.
+func holdModel(b *testing.B, w int, push func(event)) (offs []Time, now Time, seq uint64) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(1))
+	offs = make([]Time, 1024) // precomputed so rng cost stays out of the loop
+	for i := range offs {
+		switch rng.Intn(10) {
+		case 0, 1:
+			offs[i] = Time(rng.Intn(1 << ladShift))
+		case 2:
+			offs[i] = Time(rng.Int63n(40 * int64(Microsecond)))
+		default:
+			offs[i] = Time(rng.Int63n(int64(Microsecond)))
 		}
 	}
+	for i := 0; i < w; i++ {
+		seq++
+		push(event{at: now + offs[seq&1023], seq: seq})
+	}
+	b.ResetTimer()
+	return offs, now, seq
 }
 
 // BenchmarkInlineCompletion isolates the run-to-completion fast path for

@@ -100,9 +100,7 @@ type event struct {
 }
 
 // evKey is the (at, seq) ordering key of an event — the total order
-// every scheduler implementation must pop in. In the heap, keys live
-// in their own array so a sift comparison touches 16 bytes, not the
-// whole event — four keys share a cache line.
+// the scheduler must pop in.
 type evKey struct {
 	at  Time
 	seq uint64
@@ -113,226 +111,23 @@ func (k evKey) before(o evKey) bool {
 	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
 }
 
-// evPayload is the rest of an event, moved only when a sift actually
-// relocates an element.
-type evPayload struct {
-	fn   func() // evFn only
-	p    *Proc  // evResume/evStart only
-	run  Runner // evRun only
-	kind eventKind
-	bg   bool
-}
-
-// eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq),
-// stored as parallel key/payload arrays. Unlike container/heap it never
-// boxes an event into an interface, so push/pop allocate nothing beyond
-// amortized slice growth; the shallower tree halves the sift-down depth
-// of the binary version; and the split layout keeps comparisons inside
-// the dense key array. Sifts percolate a hole instead of swapping.
-// Formerly the engine's scheduler; today the ladder queue (ladder.go)
-// holds that job and the heap survives, unchanged, as the
-// differential-testing oracle behind -sched heap and the lockstep
-// fuzz in ladder_test.go.
-type eventHeap struct {
-	k []evKey
-	v []evPayload
-}
-
-func (h *eventHeap) len() int { return len(h.k) }
-
-// minTime returns the earliest scheduled time; the heap must be
-// non-empty.
-func (h *eventHeap) minTime() Time { return h.k[0].at }
-
-func (h *eventHeap) push(ev event) {
-	h.k = append(h.k, evKey{at: ev.at, seq: ev.seq})
-	h.v = append(h.v, evPayload{fn: ev.fn, p: ev.p, run: ev.run, kind: ev.kind, bg: ev.bg})
-	k, v := h.k, h.v
-	i := len(k) - 1
-	kk, vv := k[i], v[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !kk.before(k[parent]) {
-			break
-		}
-		k[i], v[i] = k[parent], v[parent]
-		i = parent
-	}
-	k[i], v[i] = kk, vv
-}
-
-// popInto removes the minimum, writing it to *dst (see ladder.popInto
-// for why the hot pop path writes through a pointer).
-func (h *eventHeap) popInto(dst *event) {
-	k, v := h.k, h.v
-	*dst = event{at: k[0].at, seq: k[0].seq,
-		fn: v[0].fn, p: v[0].p, run: v[0].run, kind: v[0].kind, bg: v[0].bg}
-	n := len(k) - 1
-	k[0], v[0] = k[n], v[n]
-	v[n] = evPayload{} // clear fn/p/run so the recycled slot retains nothing
-	h.k, h.v = k[:n], v[:n]
-	if n > 1 {
-		h.siftDown()
-	}
-}
-
-// pop is popInto for callers off the hot path (tests, the fuzz oracle).
-func (h *eventHeap) pop() event {
-	var ev event
-	h.popInto(&ev)
-	return ev
-}
-
-func (h *eventHeap) siftDown() {
-	k, v := h.k, h.v
-	n := len(k)
-	kk, vv := k[0], v[0] // the element being sifted, held out as a hole
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if k[c].before(k[min]) {
-				min = c
-			}
-		}
-		if !k[min].before(kk) {
-			break
-		}
-		k[i], v[i] = k[min], v[min]
-		i = min
-	}
-	k[i], v[i] = kk, vv
-}
-
-// SchedulerKind selects the engine's event-scheduler implementation.
-type SchedulerKind uint8
-
-// Scheduler kinds. The ladder queue is the default; the heap survives
-// as the differential-testing oracle behind casperbench -sched and the
-// lockstep fuzz in ladder_test.go.
-const (
-	SchedLadder SchedulerKind = iota
-	SchedHeap
-)
-
-// String implements fmt.Stringer.
-func (k SchedulerKind) String() string {
-	if k == SchedHeap {
-		return "heap"
-	}
-	return "ladder"
-}
-
-// ParseScheduler converts a -sched flag value to a SchedulerKind.
-func ParseScheduler(s string) (SchedulerKind, error) {
-	switch s {
-	case "ladder":
-		return SchedLadder, nil
-	case "heap":
-		return SchedHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want heap or ladder)", s)
-}
-
 // SchedulerState is a diagnostic snapshot of the event scheduler,
 // embedded in watchdog/stall/deadlock reports so a frozen-clock
 // diagnosis names the blocking structure, not just the timestamp.
 type SchedulerState struct {
-	Impl   string // "ladder" or "heap"
-	Depth  int    // pending events, next-event cache included
-	Peak   int    // lifetime high-water mark of Depth
-	SpanLo Time   // active ladder-bucket span start (ladder only)
-	SpanHi Time   // exclusive span end; zero when heap or bucket inactive
+	Depth  int  // pending events in the ladder queue
+	Peak   int  // lifetime high-water mark of Depth
+	SpanLo Time // active ladder-bucket span start
+	SpanHi Time // exclusive span end; zero when the queue is empty
 }
 
 // String formats the snapshot as a single diagnostic line.
 func (s SchedulerState) String() string {
-	line := fmt.Sprintf("scheduler: %s depth=%d peak=%d", s.Impl, s.Depth, s.Peak)
+	line := fmt.Sprintf("scheduler: ladder depth=%d peak=%d", s.Depth, s.Peak)
 	if s.SpanHi > 0 {
 		line += fmt.Sprintf(" active=[%v,%v)", s.SpanLo, s.SpanHi)
 	}
 	return line
-}
-
-// schedQ is the engine's pending-event scheduler: the ladder queue by
-// default, with the 4-ary heap retained as the A/B differential-testing
-// oracle. schedQ itself keeps the residency bookkeeping and dispatches;
-// the next-event register the hot paths read (minTime on every inline
-// advance, minKey on every merge-pop and window-horizon computation) is
-// the ladder's own bottom slot, an O(1) field load either way.
-type schedQ struct {
-	n       int // pending events
-	peak    int // high-water mark of n (see Engine.PeakQueueResidency)
-	useHeap bool
-	lad     ladder
-	heap    eventHeap
-}
-
-func (q *schedQ) len() int { return q.n }
-
-// minTime returns the earliest scheduled time; the queue must be
-// non-empty.
-func (q *schedQ) minTime() Time {
-	if q.useHeap {
-		return q.heap.minTime()
-	}
-	return q.lad.minTime()
-}
-
-// minKey returns the (at, seq) key of the earliest event; the queue
-// must be non-empty.
-func (q *schedQ) minKey() evKey {
-	if q.useHeap {
-		return q.heap.k[0]
-	}
-	return q.lad.minKey()
-}
-
-// minEvent returns the earliest pending event without popping it, for
-// diagnostics; the queue must be non-empty.
-func (q *schedQ) minEvent() event {
-	if q.useHeap {
-		k, v := q.heap.k[0], q.heap.v[0]
-		return event{at: k.at, seq: k.seq, fn: v.fn, p: v.p, run: v.run, kind: v.kind, bg: v.bg}
-	}
-	return q.lad.minEvent()
-}
-
-func (q *schedQ) push(ev event) {
-	q.n++
-	if q.n > q.peak {
-		q.peak = q.n
-	}
-	if q.useHeap {
-		q.heap.push(ev)
-	} else {
-		q.lad.push(ev)
-	}
-}
-
-// popInto removes the minimum, writing it to *dst (see ladder.popInto).
-func (q *schedQ) popInto(dst *event) {
-	q.n--
-	if q.useHeap {
-		q.heap.popInto(dst)
-		return
-	}
-	q.lad.popInto(dst)
-}
-
-// pop is popInto for callers off the hot path (tests, the fuzz oracle).
-func (q *schedQ) pop() event {
-	var ev event
-	q.popInto(&ev)
-	return ev
 }
 
 // nowQueue is a FIFO of events scheduled at exactly the current virtual
@@ -374,7 +169,7 @@ func (q *nowQueue) popInto(dst *event) {
 // processes with Spawn, then call Run.
 type Engine struct {
 	now    Time
-	events schedQ
+	events ladder
 	nowq   nowQueue // same-time events, run before the scheduler
 	seq    uint64
 	procs  []*Proc
@@ -405,39 +200,16 @@ func New(seed int64) *Engine {
 	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetScheduler selects the scheduler backing store. It must be called
-// before anything is scheduled — switching with events pending would
-// strand them in the other store.
-func (e *Engine) SetScheduler(kind SchedulerKind) {
-	if e.events.len() != 0 || e.executed != 0 {
-		panic("sim: SetScheduler on an engine already in use")
-	}
-	e.events.useHeap = kind == SchedHeap
-}
-
-// Scheduler reports the selected scheduler kind.
-func (e *Engine) Scheduler() SchedulerKind {
-	if e.events.useHeap {
-		return SchedHeap
-	}
-	return SchedLadder
-}
-
 // PeakQueueResidency returns the high-water mark of events pending in
-// the scheduler (next-event cache included) over the engine's
-// lifetime: the scheduler's working-set size, reported alongside
-// events/sec in bench output.
+// the scheduler over the engine's lifetime: the scheduler's working-set
+// size, reported alongside events/sec in bench output.
 func (e *Engine) PeakQueueResidency() int { return e.events.peak }
 
 // SchedulerState snapshots the scheduler for diagnostics.
 func (e *Engine) SchedulerState() SchedulerState {
-	s := SchedulerState{
-		Impl:  e.Scheduler().String(),
-		Depth: e.events.len(),
-		Peak:  e.events.peak,
-	}
-	if !e.events.useHeap && e.events.lad.len() > 0 {
-		s.SpanLo, s.SpanHi = e.events.lad.activeSpan()
+	s := SchedulerState{Depth: e.events.len(), Peak: e.events.peak}
+	if e.events.len() > 0 {
+		s.SpanLo, s.SpanHi = e.events.activeSpan()
 	}
 	return s
 }

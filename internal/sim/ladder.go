@@ -2,8 +2,8 @@ package sim
 
 import "math/bits"
 
-// This file implements the ladder queue: the engine's default event
-// scheduler (see schedQ in engine.go). It replaces the binary/4-ary
+// This file implements the ladder queue: the engine's event scheduler
+// (Engine.events in engine.go). It replaces the binary/4-ary
 // heap family with the bucketed-timestamp structure the DES literature
 // settled on for O(1) amortized enqueue/dequeue — a near-future timing
 // wheel of FIFO buckets keyed by quantized event time, an overflow
@@ -16,8 +16,8 @@ import "math/bits"
 // implementation therefore yields byte-identical runs — bucketing
 // cannot reorder anything a heap would not, it only changes how much
 // work finding the minimum costs. The lockstep fuzz test in
-// ladder_test.go drives this structure and the retained heap oracle
-// through randomized workloads asserting exactly that.
+// ladder_test.go drives this structure and the 4-ary heap oracle
+// (heap_test.go) through randomized workloads asserting exactly that.
 //
 // Quantization: rung-0 buckets span 2^ladShift ns (~1us), chosen to
 // match the repository's cost models — AM service and issue costs are
@@ -74,6 +74,7 @@ type ladder struct {
 	cursor Time    // start of the active bucket's span (wheel position)
 	curHi  Time    // exclusive end of the active bucket's span
 	n      int
+	peak   int // high-water mark of n (see Engine.PeakQueueResidency)
 	rungs  [ladRungs]*ladRung
 	top    []event // beyond the highest rung's window; unsorted
 	topMin Time
@@ -94,9 +95,13 @@ func (l *ladder) push(ev event) {
 		l.cur = append(l.cur[:0], ev)
 		l.head = 0
 		l.n = 1
+		l.peak = max(l.peak, 1)
 		return
 	}
 	l.n++
+	if l.n > l.peak {
+		l.peak = l.n
+	}
 	if ev.at < l.curHi {
 		l.insertCur(ev)
 		return
@@ -168,16 +173,12 @@ func (l *ladder) minKey() evKey {
 // structure probe.
 func (l *ladder) minTime() Time { return l.cur[l.head].at }
 
-// minEvent returns the earliest event without popping it, for
-// diagnostics; the ladder must be non-empty.
-func (l *ladder) minEvent() event { return l.cur[l.head] }
-
 // popInto removes the earliest event by (at, seq), writing it to *dst.
 // The pointer form exists because the event struct is 56 bytes and pop
 // sits on the hottest path in the repository: writing through the
-// caller's pointer once beats returning by value through two
-// non-inlined frames (ladder → schedQ → nextEvent), which the profiler
-// shows as pure memmove.
+// caller's pointer once beats returning by value through the two
+// non-inlined frames (ladder → nextEvent), which the profiler shows
+// as pure memmove.
 func (l *ladder) popInto(dst *event) {
 	*dst = l.cur[l.head]
 	l.cur[l.head] = event{} // clear fn/p/run so the slot retains nothing

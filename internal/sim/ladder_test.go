@@ -6,9 +6,9 @@ import (
 )
 
 // The ladder queue's correctness contract is exact: pop order by
-// (at, seq) must be byte-for-byte what the retained heap produces, or
-// every experiment's determinism guarantee dies. These tests drive the
-// two structures in lockstep through randomized workloads shaped like
+// (at, seq) must be byte-for-byte what the heap oracle (heap_test.go)
+// produces, or every experiment's determinism guarantee dies. These
+// tests drive the two structures in lockstep through randomized workloads shaped like
 // the engine's real traffic — same-time seq ties, reserved
 // (out-of-order) sequence numbers, far-future events that land in
 // overflow rungs and the top list — plus adversarial seqs in high bands
@@ -161,89 +161,94 @@ func TestLadderHeapLockstep(t *testing.T) {
 	}
 }
 
-// TestLadderSchedQ runs the same differential through the schedQ
-// dispatcher — the layer the engine actually calls — flipping useHeap,
-// and checks the peak-residency gauge agrees with the test's own
-// high-water count.
-func TestLadderSchedQ(t *testing.T) {
+// TestLadderPeakResidency checks the ladder's peak-residency gauge
+// (Engine.PeakQueueResidency) against the test's own depth and
+// high-water count over a generated workload.
+func TestLadderPeakResidency(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	ops := genLadderOps(rng, 4000)
-	var lq, hq schedQ
-	hq.useHeap = true
+	var lad ladder
 	depth, peak := 0, 0
 	for i, op := range ops {
 		if op.push {
-			lq.push(op.ev)
-			hq.push(op.ev)
+			lad.push(op.ev)
 			depth++
-			if depth > peak {
-				peak = depth
-			}
+			peak = max(peak, depth)
 		} else {
-			le, he := lq.pop(), hq.pop()
+			lad.pop()
 			depth--
-			if le.at != he.at || le.seq != he.seq {
-				t.Fatalf("op %d: ladder schedQ popped (%v,%d), heap schedQ popped (%v,%d)",
-					i, le.at, le.seq, he.at, he.seq)
-			}
 		}
-	}
-	if lq.peak != peak || hq.peak != peak {
-		t.Fatalf("peak residency: ladder %d, heap %d, want %d", lq.peak, hq.peak, peak)
+		if lad.len() != depth || lad.peak != peak {
+			t.Fatalf("op %d: ladder len %d peak %d, want %d and %d", i, lad.len(), lad.peak, depth, peak)
+		}
 	}
 }
 
 // TestLadderEngineIdentical runs a full engine workload — randomized
 // timer cascades with same-instant bursts, reserved-seq runners, and
-// far-future background events — under both schedulers and requires
-// identical execution traces. DisableFastPaths forces every event
-// through the scheduler queue, so same-time ties exercise the queue
-// rather than the nowQueue ring.
+// far-future events — and checks its execution order in lockstep
+// against the heap oracle fed the same keys. The test predicts every
+// key, since each At and ReserveSeq consumes exactly one seq; every
+// event, as it fires, must be the oracle's minimum. DisableFastPaths
+// forces every event through the scheduler queue, so same-time ties
+// exercise the ladder rather than the nowQueue FIFO.
 func TestLadderEngineIdentical(t *testing.T) {
 	for _, fastOff := range []bool{false, true} {
-		trace := func(kind SchedulerKind) []Time {
-			e := New(7)
-			e.SetScheduler(kind)
-			if fastOff {
-				e.DisableFastPaths()
-			}
-			rng := rand.New(rand.NewSource(7))
-			var log []Time
-			var tick func()
-			n := 0
-			tick = func() {
-				log = append(log, e.Now())
-				n++
-				if n >= 5000 {
-					return
-				}
-				// Burst of same-instant events plus a spread of future
-				// ones, some via reserved sequence numbers.
-				for i := rng.Intn(3); i > 0; i-- {
-					e.At(e.Now(), func() { log = append(log, e.Now()) })
-				}
-				off := Duration(rng.Intn(200 << ladShift))
-				if rng.Intn(20) == 0 {
-					off = Duration(rng.Int63n(3600 * int64(Second))) // deep rungs / top
-				}
-				seq := e.ReserveSeq()
-				e.After(off/2+1, tick)
-				e.AtRunReserved(e.Now().Add(off), seq, runnerFunc(func() {
-					log = append(log, e.Now())
-				}))
-			}
-			e.At(0, tick)
-			e.MustRun()
-			return log
+		e := New(7)
+		if fastOff {
+			e.DisableFastPaths()
 		}
-		lad, heap := trace(SchedLadder), trace(SchedHeap)
-		if len(lad) != len(heap) {
-			t.Fatalf("fastOff=%v: trace lengths differ: ladder %d, heap %d", fastOff, len(lad), len(heap))
-		}
-		for i := range lad {
-			if lad[i] != heap[i] {
-				t.Fatalf("fastOff=%v: traces diverge at %d: ladder %v, heap %v", fastOff, i, lad[i], heap[i])
+		rng := rand.New(rand.NewSource(7))
+		var oracle eventHeap
+		var seq uint64 // the engine's seq counter, predicted
+		fired := 0
+		check := func(k evKey) {
+			if oracle.len() == 0 {
+				t.Fatalf("fastOff=%v: event (%v,%d) fired with the oracle empty", fastOff, k.at, k.seq)
 			}
+			want := oracle.pop()
+			if k != (evKey{at: want.at, seq: want.seq}) || e.Now() != k.at {
+				t.Fatalf("fastOff=%v: event %d fired (%v,%d) at %v, oracle popped (%v,%d)",
+					fastOff, fired, k.at, k.seq, e.Now(), want.at, want.seq)
+			}
+			fired++
+		}
+		at := func(when Time, fn func()) {
+			seq++
+			k := evKey{at: when, seq: seq}
+			oracle.push(event{at: k.at, seq: k.seq})
+			e.At(when, func() { check(k); fn() })
+		}
+		var tick func()
+		n := 0
+		tick = func() {
+			n++
+			if n >= 5000 {
+				return
+			}
+			// Burst of same-instant events plus a spread of future
+			// ones, some via reserved sequence numbers.
+			for i := rng.Intn(3); i > 0; i-- {
+				at(e.Now(), func() {})
+			}
+			off := Duration(rng.Intn(200 << ladShift))
+			if rng.Intn(20) == 0 {
+				off = Duration(rng.Int63n(3600 * int64(Second))) // deep rungs / top
+			}
+			rs := e.ReserveSeq()
+			if seq++; rs != seq {
+				t.Fatalf("fastOff=%v: ReserveSeq returned %d, predicted %d", fastOff, rs, seq)
+			}
+			at(e.Now().Add(off/2+1), tick)
+			rk := evKey{at: e.Now().Add(off), seq: rs}
+			oracle.push(event{at: rk.at, seq: rk.seq})
+			e.AtRunReserved(rk.at, rs, runnerFunc(func() { check(rk) }))
+		}
+		at(0, tick)
+		e.MustRun()
+		if oracle.len() != 0 || fired != int(seq) {
+			t.Fatalf("fastOff=%v: %d events fired, %d scheduled, %d left in the oracle",
+				fastOff, fired, seq, oracle.len())
 		}
 	}
 }
